@@ -13,7 +13,7 @@
 // docs/WIRE_FORMAT.md):
 //
 //   magic   u32 = 0x454e5631 ("ENV1")
-//   version u32 = 1
+//   version u32 = 2
 //   kind    u32   (0 = data, 1 = ack)
 //   sender  u64   node id of the originator
 //   incarnation u64   restart generation of the sender (crash recovery)
@@ -21,7 +21,11 @@
 //   epoch   u64   stream position the payload snapshot covers
 //   payload_len u64
 //   payload bytes (a whole serialized sketch frame; empty for acks)
-//   checksum u32  FNV-1a over every preceding byte
+//   checksum u32  CRC32C over every preceding byte
+//
+// A version-1 envelope has the same layout with an FNV-1a checksum
+// (util/serialize.h, FrameChecksum); DecodeEnvelope still accepts it,
+// EncodeEnvelope writes version 2 only.
 //
 // For an ack, (incarnation, seq, epoch) name the DATA envelope being
 // acknowledged and `sender` is the acknowledging aggregator.
@@ -37,7 +41,7 @@
 namespace ats::cluster {
 
 inline constexpr uint32_t kEnvelopeMagic = 0x454e5631;  // "ENV1"
-inline constexpr uint32_t kEnvelopeVersion = 1;
+inline constexpr uint32_t kEnvelopeVersion = 2;
 
 // Fixed prefix before the payload: magic, version, kind (u32 each) +
 // sender, incarnation, seq, epoch, payload_len (u64 each).

@@ -4,7 +4,7 @@
 
 namespace {
 constexpr uint32_t kPrioritySamplerMagic = 0x50534d32;  // "PSM2"
-constexpr uint32_t kPrioritySamplerVersion = 1;
+constexpr uint32_t kPrioritySamplerVersion = 2;
 }  // namespace
 
 namespace ats {
@@ -41,13 +41,14 @@ std::vector<SampleEntry> PrioritySampler::Sample() const {
 
 std::vector<SampleEntry> MakeWeightedSample(
     const SampleStore<PrioritySampler::Item>& store) {
-  std::vector<SampleEntry> out;
-  out.reserve(store.size());
+  const std::vector<double>& priorities = store.priorities();
+  const std::vector<PrioritySampler::Item>& items = store.payloads();
   const double t = store.Threshold();
-  for (size_t i = 0; i < store.size(); ++i) {
-    const PrioritySampler::Item& item = store.payloads()[i];
+  std::vector<SampleEntry> out;
+  out.reserve(priorities.size());
+  for (size_t i = 0; i < priorities.size(); ++i) {
     out.push_back(
-        MakeWeightedEntry(item.key, item.weight, store.priorities()[i], t));
+        MakeWeightedEntry(items[i].key, items[i].weight, priorities[i], t));
   }
   return out;
 }

@@ -17,7 +17,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,18 +32,29 @@
 
 namespace ats {
 
-// Writes/reads a bottom-k payload on the wire. Specialize for payload
-// types that need to cross serialization boundaries. `kWireSize` is the
-// fixed encoded size in bytes; the zero-copy frame view relies on it to
-// bounds-check a whole entry region with one size comparison.
+// Encodes a bottom-k payload on the wire. Specialize for payload types
+// that need to cross serialization boundaries:
+//   * kWireSize -- the fixed encoded size in bytes; the entry region is
+//     then fixed-stride, so one size comparison bounds-checks all of it;
+//   * Encode(out, v) -- writes exactly kWireSize bytes at `out`;
+//   * Decode(in) -- reads them back (every byte pattern decodes);
+//   * Valid(v) -- the value check a decoded payload must pass (positive
+//     weights, finite fields); a frame holding an invalid one is corrupt.
 template <typename Payload>
 struct PayloadCodec;
 
 template <>
 struct PayloadCodec<uint64_t> {
   static constexpr size_t kWireSize = sizeof(uint64_t);
-  static void Write(ByteWriter& w, uint64_t v) { w.WriteU64(v); }
-  static std::optional<uint64_t> Read(ByteReader& r) { return r.ReadU64(); }
+  static void Encode(char* out, uint64_t v) {
+    std::memcpy(out, &v, sizeof(v));
+  }
+  static uint64_t Decode(const char* in) {
+    uint64_t v;
+    std::memcpy(&v, in, sizeof(v));
+    return v;
+  }
+  static bool Valid(uint64_t) { return true; }
 };
 
 // Generic bottom-k container over (priority, payload) pairs, backed by the
@@ -99,21 +113,24 @@ class BottomK {
   // Retained entries in unspecified order, materialized from the store's
   // canonical columns.
   std::vector<Entry> entries() const {
+    const std::vector<double>& priorities = store_.priorities();
+    const std::vector<Payload>& payloads = store_.payloads();
     std::vector<Entry> out;
-    out.reserve(store_.size());
-    for (size_t i = 0; i < store_.size(); ++i) {
-      out.push_back(Entry{store_.priorities()[i], store_.payloads()[i]});
+    out.reserve(priorities.size());
+    for (size_t i = 0; i < priorities.size(); ++i) {
+      out.push_back(Entry{priorities[i], payloads[i]});
     }
     return out;
   }
 
   // Retained entries sorted by ascending priority.
   std::vector<Entry> SortedEntries() const {
+    const std::vector<size_t> order = store_.SortedOrder();
+    const std::vector<double>& priorities = store_.priorities();
+    const std::vector<Payload>& payloads = store_.payloads();
     std::vector<Entry> out;
-    out.reserve(store_.size());
-    for (size_t i : store_.SortedOrder()) {
-      out.push_back(Entry{store_.priorities()[i], store_.payloads()[i]});
-    }
+    out.reserve(order.size());
+    for (size_t i : order) out.push_back(Entry{priorities[i], payloads[i]});
     return out;
   }
 
@@ -147,49 +164,47 @@ class BottomK {
   SampleStore<Payload>& store() { return store_; }
   const SampleStore<Payload>& store() const { return store_; }
 
-  // Wire format (requires a PayloadCodec<Payload> specialization).
-  // Only entries strictly below the threshold travel: after a
-  // duplicate-priority warm-up (and before any purge) the canonical
-  // retained set may hold entries tied AT the threshold, which are not
-  // members of the threshold sample at that bound -- and which the
-  // strict `priority < threshold` wire validation would rightly reject,
-  // making the frame unparseable.
+  // Wire format (requires a PayloadCodec<Payload> specialization):
+  // header, k, threshold, count, then `count` fixed-stride (priority,
+  // payload) entries. Only entries strictly below the threshold travel:
+  // after a duplicate-priority warm-up (and before any purge) the
+  // canonical retained set may hold entries tied AT the threshold, which
+  // are not members of the threshold sample at that bound -- and which
+  // the strict `priority < threshold` wire validation would rightly
+  // reject, making the frame unparseable.
+  //
+  // One pass over the canonical columns counts the survivors; the entry
+  // region is then encoded in place into a buffer reserved once for the
+  // whole frame (trailing checksum included).
   void SerializeTo(ByteWriter& w) const {
+    const std::vector<double>& priorities = store_.priorities();
+    const std::vector<Payload>& payloads = store_.payloads();
+    const double t = store_.Threshold();
+    size_t count = 0;
+    for (const double p : priorities) count += p < t ? 1 : 0;
+    w.Reserve(kPrefixSize + count * kEntryStride + sizeof(uint32_t));
     WriteSketchHeader(w, kMagic, kVersion);
     w.WriteU64(store_.k());
-    const double t = store_.Threshold();
     w.WriteDouble(t);
-    uint64_t count = 0;
-    for (size_t i = 0; i < store_.size(); ++i) {
-      count += store_.priorities()[i] < t ? 1 : 0;
-    }
     w.WriteU64(count);
-    for (size_t i = 0; i < store_.size(); ++i) {
-      if (!(store_.priorities()[i] < t)) continue;
-      w.WriteDouble(store_.priorities()[i]);
-      PayloadCodec<Payload>::Write(w, store_.payloads()[i]);
+    char* out = w.Grow(count * kEntryStride);
+    for (size_t i = 0; i < priorities.size(); ++i) {
+      if (!(priorities[i] < t)) continue;
+      std::memcpy(out, &priorities[i], sizeof(double));
+      PayloadCodec<Payload>::Encode(out + sizeof(double), payloads[i]);
+      out += kEntryStride;
     }
   }
 
   static std::optional<BottomK> Deserialize(ByteReader& r) {
-    if (!ReadSketchHeader(r, kMagic, kVersion)) return std::nullopt;
-    const auto k = r.ReadU64();
-    const auto threshold = r.ReadDouble();
-    const auto count = r.ReadU64();
-    if (!k || !threshold || !count) return std::nullopt;
-    // Priorities live on the whole real line (e.g. log-space keys in the
-    // time-decay sampler), so only NaN thresholds are invalid here.
-    if (*k < 1 || std::isnan(*threshold) || *count > *k) return std::nullopt;
-    BottomK sketch(static_cast<size_t>(*k));
-    for (uint64_t i = 0; i < *count; ++i) {
-      const auto priority = r.ReadDouble();
-      const auto payload = PayloadCodec<Payload>::Read(r);
-      if (!priority || !payload.has_value()) return std::nullopt;
-      if (!(*priority < *threshold)) return std::nullopt;
-      sketch.Offer(*priority, *payload);
+    const auto view = ReadView(r);
+    if (!view) return std::nullopt;
+    BottomK sketch(view->k());
+    for (size_t i = 0; i < view->size(); ++i) {
+      sketch.Offer(view->priority(i), view->payload(i));
     }
-    if (sketch.size() != *count) return std::nullopt;
-    sketch.LowerThreshold(*threshold);
+    if (sketch.size() != view->size()) return std::nullopt;
+    sketch.LowerThreshold(view->threshold());
     return sketch;
   }
 
@@ -236,9 +251,8 @@ class BottomK {
 
     Payload payload(size_t i) const {
       ATS_DCHECK(i < size());
-      ByteReader r(entries_.substr(i * kStride + sizeof(double),
-                                   PayloadCodec<Payload>::kWireSize));
-      return *PayloadCodec<Payload>::Read(r);  // validated by Parse
+      return PayloadCodec<Payload>::Decode(entries_.data() + i * kStride +
+                                           sizeof(double));
     }
 
    private:
@@ -273,32 +287,8 @@ class BottomK {
   // Validation is identical to DeserializeView's.
   static std::optional<FrameView> ViewBody(std::string_view body) {
     ByteReader r(body);
-    if (!ReadSketchHeader(r, kMagic, kVersion)) return std::nullopt;
-    const auto k = r.ReadU64();
-    const auto threshold = r.ReadDouble();
-    const auto count = r.ReadU64();
-    if (!k || !threshold || !count) return std::nullopt;
-    if (*k < 1 || std::isnan(*threshold) || *count > *k) return std::nullopt;
-    FrameView view;
-    view.k_ = *k;
-    view.threshold_ = *threshold;
-    // Fixed-stride entry region: one size comparison bounds-checks every
-    // entry (an oversized or truncated region is a framing error); the
-    // first clause keeps the multiplication overflow-free.
-    const std::string_view entries = r.Rest();
-    if (*count > entries.size() / FrameView::kStride ||
-        entries.size() != *count * FrameView::kStride) {
-      return std::nullopt;
-    }
-    view.entries_ = entries;
-    for (size_t i = 0; i < view.size(); ++i) {
-      const double p = view.priority(i);
-      if (!(p < view.threshold_)) return std::nullopt;  // NaN included
-      ByteReader pr(view.entries_.substr(
-          i * FrameView::kStride + sizeof(double),
-          PayloadCodec<Payload>::kWireSize));
-      if (!PayloadCodec<Payload>::Read(pr).has_value()) return std::nullopt;
-    }
+    auto view = ReadView(r);
+    if (!view || !r.AtEnd()) return std::nullopt;  // trailing bytes
     return view;
   }
 
@@ -361,7 +351,47 @@ class BottomK {
 
  private:
   static constexpr uint32_t kMagic = 0x42544b32;  // "BTK2"
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
+  // Header, k, threshold, count.
+  static constexpr size_t kPrefixSize =
+      2 * sizeof(uint32_t) + 3 * sizeof(uint64_t);
+  static constexpr size_t kEntryStride = FrameView::kStride;
+
+  // Reads one body -- fields, then the entry region -- into a view and
+  // validates all of it, consuming exactly the body's bytes. Shared by
+  // the eager and the zero-copy parsers, so both reject the same inputs.
+  static std::optional<FrameView> ReadView(ByteReader& r) {
+    if (!ReadSketchHeader(r, kMagic, kVersion)) return std::nullopt;
+    const auto k = r.ReadU64();
+    const auto threshold = r.ReadDouble();
+    const auto count = r.ReadU64();
+    if (!k || !threshold || !count) return std::nullopt;
+    // Priorities live on the whole real line (e.g. log-space keys in the
+    // time-decay sampler), so only NaN thresholds are invalid here.
+    if (*k < 1 || std::isnan(*threshold) || *count > *k) return std::nullopt;
+    // Fixed-stride entry region: one size comparison bounds-checks every
+    // entry; the division keeps it overflow-free for hostile counts.
+    const std::string_view rest = r.Rest();
+    if (*count > rest.size() / kEntryStride) return std::nullopt;
+    FrameView view;
+    view.k_ = *k;
+    view.threshold_ = *threshold;
+    view.entries_ = rest.substr(0, *count * kEntryStride);
+    // One tight pass: every priority strictly below the threshold (NaN
+    // fails) and every payload valid.
+    for (size_t at = 0; at < view.entries_.size(); at += kEntryStride) {
+      const char* entry = view.entries_.data() + at;
+      double p;
+      std::memcpy(&p, entry, sizeof(p));
+      if (!(p < *threshold)) return std::nullopt;
+      if (!PayloadCodec<Payload>::Valid(
+              PayloadCodec<Payload>::Decode(entry + sizeof(double)))) {
+        return std::nullopt;
+      }
+    }
+    r.Skip(view.entries_.size());
+    return view;
+  }
 
   SampleStore<Payload> store_;
 };
@@ -381,18 +411,17 @@ struct WeightedStored {
 template <>
 struct PayloadCodec<WeightedStored> {
   static constexpr size_t kWireSize = sizeof(uint64_t) + sizeof(double);
-  static void Write(ByteWriter& w, const WeightedStored& item) {
-    w.WriteU64(item.key);
-    w.WriteDouble(item.weight);
+  static void Encode(char* out, const WeightedStored& item) {
+    std::memcpy(out, &item.key, sizeof(item.key));
+    std::memcpy(out + 8, &item.weight, sizeof(item.weight));
   }
-  static std::optional<WeightedStored> Read(ByteReader& r) {
-    const auto key = r.ReadU64();
-    const auto weight = r.ReadDouble();
-    if (!key.has_value() || !weight || !(*weight > 0.0)) {
-      return std::nullopt;
-    }
-    return WeightedStored{*key, *weight};
+  static WeightedStored Decode(const char* in) {
+    WeightedStored item;
+    std::memcpy(&item.key, in, sizeof(item.key));
+    std::memcpy(&item.weight, in + 8, sizeof(item.weight));
+    return item;
   }
+  static bool Valid(const WeightedStored& item) { return item.weight > 0.0; }
 };
 
 // Priority sampling (weighted bottom-k) over keyed, weighted items.

@@ -307,7 +307,8 @@ class SampleStore {
     return *std::max_element(priority_.begin(), priority_.end());
   }
 
-  /// Canonical retained count (<= k).
+  /// Canonical retained count (<= k). Runs the compaction check on
+  /// every call, like priorities() and payloads().
   size_t size() const {
     CompactToK();
     return priority_.size();
@@ -333,7 +334,9 @@ class SampleStore {
 
   /// Raw columns in unspecified order. priorities()[i] pairs with
   /// payloads()[i]. Canonicalized: at most k entries, exactly the scalar
-  /// reference's retained multiset.
+  /// reference's retained multiset. Each call runs the compaction check,
+  /// so loops bind the returned columns once instead of calling these
+  /// (or size()) per entry.
   const std::vector<double>& priorities() const {
     CompactToK();
     return priority_;

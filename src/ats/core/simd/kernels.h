@@ -6,6 +6,9 @@
 #ifndef ATS_CORE_SIMD_KERNELS_H_
 #define ATS_CORE_SIMD_KERNELS_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "ats/core/simd/simd_dispatch.h"
 
 // The SSE2/AVX2 units are x86-64 only; on other architectures only the
@@ -19,6 +22,10 @@
 namespace ats::simd::internal {
 
 const KernelTable& ScalarKernels();
+
+// The portable CRC32C kernel (slicing-by-8, kernels_scalar.cc); the
+// scalar and SSE2 tables share it.
+uint32_t Crc32cSliceBy8(uint32_t crc, const void* data, size_t n);
 #if ATS_SIMD_X86
 const KernelTable& Sse2Kernels();
 const KernelTable& Avx2Kernels();

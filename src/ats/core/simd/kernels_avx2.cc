@@ -1,9 +1,11 @@
 // AVX2 kernel table: 4-lane implementations of the pre-filter mask, the
-// fused hash->priority->pre-filter block, and the FastLog span.
+// fused hash->priority->pre-filter block, and the FastLog span, plus the
+// CRC32C trailer on the SSE4.2 crc32 instruction.
 //
-// This translation unit is compiled with -mavx2 regardless of the global
-// architecture flags (see CMakeLists.txt); simd_dispatch.cc only selects
-// the table after runtime detection confirms the CPU executes AVX2.
+// This translation unit is compiled with -mavx2 (which implies SSE4.2)
+// regardless of the global architecture flags (see CMakeLists.txt);
+// simd_dispatch.cc only selects the table after runtime detection
+// confirms the CPU executes AVX2 and SSE4.2.
 //
 // Exactness: the integer pipeline (Mix64 via the 32x32 cross-product
 // 64-bit multiply) is exact arithmetic; the uint64 -> double conversion
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "ats/core/simd/fast_log.h"
 
@@ -186,6 +189,79 @@ void Avx2LogSpan(const double* x, double* out, size_t n) {
   for (; i < n; ++i) out[i] = FastLog(x[i]);
 }
 
+// CRC32C on the crc32 instruction. The instruction has a 3-cycle latency
+// and issues once per cycle, so long buffers run three independent
+// streams over adjacent lanes of a stripe and fold them together: for
+// raw (un-inverted) CRC states, crc(s, A ++ B) = Z_|B|(crc(s, A)) xor
+// crc(0, B), where Z_n -- advancing a state over n zero bytes -- is
+// linear over GF(2) and so a 4-lookup table per fixed n.
+constexpr size_t kCrcLane = 1024;  // bytes per stream per stripe
+
+inline uint64_t LoadU64(const unsigned char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+// Raw CRC state advanced over n bytes, one stream.
+inline uint32_t Crc32cRaw(uint32_t state, const unsigned char* p, size_t n) {
+  uint64_t c = state;
+  for (; n >= 8; n -= 8, p += 8) c = _mm_crc32_u64(c, LoadU64(p));
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; n > 0; --n, ++p) c32 = _mm_crc32_u8(c32, *p);
+  return c32;
+}
+
+// Z_n as a table: byte j of the state indexes t[j]. Built from the 32
+// basis images, each advanced over the zero bytes by the instruction
+// itself -- only ever constructed after dispatch selected this table.
+struct ZeroShift {
+  uint32_t t[4][256];
+
+  explicit ZeroShift(size_t zero_bytes) {
+    uint32_t basis[32];
+    for (int b = 0; b < 32; ++b) {
+      uint64_t c = uint64_t{1} << b;
+      for (size_t i = 0; i < zero_bytes; i += 8) c = _mm_crc32_u64(c, 0);
+      basis[b] = static_cast<uint32_t>(c);
+    }
+    for (int j = 0; j < 4; ++j) {
+      for (uint32_t v = 0; v < 256; ++v) {
+        uint32_t x = 0;
+        for (int b = 0; b < 8; ++b) {
+          if ((v >> b) & 1u) x ^= basis[8 * j + b];
+        }
+        t[j][v] = x;
+      }
+    }
+  }
+
+  uint32_t operator()(uint32_t x) const {
+    return t[0][x & 0xff] ^ t[1][(x >> 8) & 0xff] ^ t[2][(x >> 16) & 0xff] ^
+           t[3][x >> 24];
+  }
+};
+
+uint32_t Avx2Crc32c(uint32_t crc, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = ~crc;
+  if (n >= 3 * kCrcLane) {
+    static const ZeroShift by_one_lane(kCrcLane);
+    static const ZeroShift by_two_lanes(2 * kCrcLane);
+    for (; n >= 3 * kCrcLane; n -= 3 * kCrcLane, p += 3 * kCrcLane) {
+      uint64_t a = c, b = 0, d = 0;
+      for (size_t i = 0; i < kCrcLane; i += 8) {
+        a = _mm_crc32_u64(a, LoadU64(p + i));
+        b = _mm_crc32_u64(b, LoadU64(p + kCrcLane + i));
+        d = _mm_crc32_u64(d, LoadU64(p + 2 * kCrcLane + i));
+      }
+      c = by_two_lanes(static_cast<uint32_t>(a)) ^
+          by_one_lane(static_cast<uint32_t>(b)) ^ static_cast<uint32_t>(d);
+    }
+  }
+  return ~Crc32cRaw(c, p, n);
+}
+
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
@@ -193,6 +269,7 @@ const KernelTable& Avx2Kernels() {
       Avx2PrefilterMask64,
       Avx2HashPriorityMask64,
       Avx2LogSpan,
+      Avx2Crc32c,
   };
   return kTable;
 }

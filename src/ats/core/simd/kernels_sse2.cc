@@ -160,6 +160,7 @@ const KernelTable& Sse2Kernels() {
       Sse2PrefilterMask64,
       Sse2HashPriorityMask64,
       Sse2LogSpan,
+      Crc32cSliceBy8,  // SSE2 has no CRC instruction
   };
   return kTable;
 }

@@ -15,7 +15,10 @@ SimdLevel DetectLevel() {
 #if ATS_SIMD_X86
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+  // The AVX2 table's crc32c kernel uses the SSE4.2 crc32 instruction.
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2")) {
+    return SimdLevel::kAvx2;
+  }
   // SSE2 is part of the x86-64 baseline; no need to probe for it.
   return SimdLevel::kSse2;
 #else

@@ -15,8 +15,16 @@
 //     Xoshiro256::NextExponential/FillExponentials and the time-decay
 //     sampler's log-key columns.
 //
+// One more kernel sits under every wire frame, checkpoint and envelope:
+//
+//   * crc32c -- the CRC32C (Castagnoli) trailer checksum
+//     (util/serialize.h): the SSE4.2 `crc32` instruction at the AVX2
+//     level (three interleaved streams on long buffers), a slicing-by-8
+//     table at the SSE2 and scalar levels.
+//
 // Dispatch model: one implementation table per level --
 //   kAvx2 > kSse2 > kScalar
+// (kAvx2 also requires SSE4.2, for the crc32 instruction)
 // -- selected ONCE from CPUID (via compiler builtins) the first time a
 // kernel is called, overridable for testing with the ATS_SIMD_LEVEL
 // environment variable ("scalar" | "sse2" | "avx2") or programmatically
@@ -36,6 +44,8 @@
 //     order (no FMA; the build sets -ffp-contract=off), so scalar and
 //     SIMD lanes agree bit-for-bit. Against libm's correctly-rounded
 //     log the shared result is within 2 ulp (see fast_log.h).
+//   * crc32c: BIT-EXACT across levels -- a CRC is exact arithmetic over
+//     GF(2), whichever way the bytes are grouped.
 //
 // Thread-safety: ActiveKernels()/ActiveSimdLevel() are safe to call
 // concurrently (one atomic acquire load after first-use init).
@@ -80,6 +90,11 @@ struct KernelTable {
                                    double bound, double* priorities_out);
   // out[i] = FastLog(x[i]) for i in [0, n). In-place (out == x) allowed.
   void (*log_span)(const double* x, double* out, size_t n);
+  // CRC32C (reflected polynomial 0x82F63B78, init and xorout
+  // 0xFFFFFFFF) of `n` bytes at `data`, continuing from the finished CRC
+  // `crc` of any preceding bytes (0 to start): crc32c(crc32c(0, a), b)
+  // == crc32c(0, a ++ b). `data` need not be aligned.
+  uint32_t (*crc32c)(uint32_t crc, const void* data, size_t n);
 };
 
 // The active table (atomic acquire load; init on first use).

@@ -7,12 +7,17 @@
 //
 //   offset  size  field
 //        0     4  magic      "CKP1" (0x31504b43 little-endian)
-//        4     4  version    1
+//        4     4  version    2 (1 still opens; see below)
 //        8     4  scheme_kind  which sketch family the payload frames
 //       12     8  epoch      stream position the payload covers
 //       20     8  payload_len
 //       28     -  payload    one whole-buffer sketch frame, verbatim
-//     28+L     4  checksum   FNV-1a over ALL preceding bytes
+//     28+L     4  checksum   CRC32C over ALL preceding bytes
+//
+// Version 1 files are byte-identical except that their checksum is
+// FNV-1a (util/serialize.h, FrameChecksum): DecodeCheckpoint verifies
+// whichever trailer the file's version names, so checkpoints written
+// before version 2 still open. Writers emit version 2 only.
 //
 // Durability contract (CheckpointWriter::Write): the bytes are written
 // to `path + ".tmp"`, fsync'd, renamed over `path`, and the parent
@@ -85,7 +90,7 @@ enum class CheckpointFault : uint8_t {
 const char* CheckpointFaultName(CheckpointFault fault);
 
 inline constexpr uint32_t kCheckpointMagic = 0x31504b43u;  // "CKP1"
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 inline constexpr size_t kCheckpointHeaderSize =
     3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);  // 28
 // Header plus the trailing checksum: file size minus payload size.
@@ -110,8 +115,8 @@ struct CheckpointInfo {
 // kBadVersion; scheme_kind outside [kMinSchemeKind, kMaxSchemeKind] ->
 // kBadKind; fewer bytes than
 // header + payload_len + checksum -> kTruncated; MORE bytes than
-// declared (trailing junk) -> kCorruptBody; checksum mismatch ->
-// kCorruptBody. The wrapped sketch frame is NOT parsed here -- that is
+// declared (trailing junk) -> kCorruptBody; checksum mismatch (FNV-1a
+// for a version-1 file, CRC32C otherwise) -> kCorruptBody. The wrapped sketch frame is NOT parsed here -- that is
 // RestoreFromCheckpoint's last step (-> kBadPayload).
 CheckpointFault DecodeCheckpoint(std::string_view bytes,
                                  CheckpointInfo* out);

@@ -6,7 +6,7 @@
 
 namespace {
 constexpr uint32_t kMultiObjectiveMagic = 0x31424f4d;  // "MOB1"
-constexpr uint32_t kMultiObjectiveVersion = 1;
+constexpr uint32_t kMultiObjectiveVersion = 2;
 }  // namespace
 
 namespace ats {
@@ -50,17 +50,18 @@ std::vector<SampleEntry> MultiObjectiveSampler::Sample(
     size_t objective) const {
   ATS_CHECK(objective < sketches_.size());
   const auto& sketch = sketches_[objective];
+  const std::vector<double>& priorities = sketch.store().priorities();
+  const std::vector<Stored>& items = sketch.store().payloads();
+  const double threshold = sketch.Threshold();
   std::vector<SampleEntry> out;
-  out.reserve(sketch.size());
-  const auto& store = sketch.store();
-  for (size_t i = 0; i < store.size(); ++i) {
-    const Stored& item = store.payloads()[i];
+  out.reserve(priorities.size());
+  for (size_t i = 0; i < priorities.size(); ++i) {
     SampleEntry s;
-    s.key = item.key;
-    s.value = item.value;
-    s.priority = store.priorities()[i];
-    s.threshold = sketch.Threshold();
-    s.dist = PriorityDist::WeightedUniform(item.weight);
+    s.key = items[i].key;
+    s.value = items[i].value;
+    s.priority = priorities[i];
+    s.threshold = threshold;
+    s.dist = PriorityDist::WeightedUniform(items[i].weight);
     out.push_back(s);
   }
   return out;

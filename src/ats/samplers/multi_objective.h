@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -45,21 +46,21 @@ struct MultiObjectiveStored {
 template <>
 struct PayloadCodec<MultiObjectiveStored> {
   static constexpr size_t kWireSize = sizeof(uint64_t) + 2 * sizeof(double);
-  static void Write(ByteWriter& w, const MultiObjectiveStored& s) {
-    w.WriteU64(s.key);
-    w.WriteDouble(s.value);
-    w.WriteDouble(s.weight);
+  static void Encode(char* out, const MultiObjectiveStored& s) {
+    std::memcpy(out, &s.key, sizeof(s.key));
+    std::memcpy(out + 8, &s.value, sizeof(s.value));
+    std::memcpy(out + 16, &s.weight, sizeof(s.weight));
   }
-  static std::optional<MultiObjectiveStored> Read(ByteReader& r) {
-    const auto key = r.ReadU64();
-    const auto value = r.ReadDouble();
-    const auto weight = r.ReadDouble();
-    if (!key.has_value() || !value || !weight) return std::nullopt;
-    if (!std::isfinite(*value) || !(*weight > 0.0) ||
-        !std::isfinite(*weight)) {
-      return std::nullopt;
-    }
-    return MultiObjectiveStored{*key, *value, *weight};
+  static MultiObjectiveStored Decode(const char* in) {
+    MultiObjectiveStored s;
+    std::memcpy(&s.key, in, sizeof(s.key));
+    std::memcpy(&s.value, in + 8, sizeof(s.value));
+    std::memcpy(&s.weight, in + 16, sizeof(s.weight));
+    return s;
+  }
+  static bool Valid(const MultiObjectiveStored& s) {
+    return std::isfinite(s.value) && s.weight > 0.0 &&
+           std::isfinite(s.weight);
   }
 };
 

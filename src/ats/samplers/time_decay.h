@@ -23,6 +23,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,23 +54,23 @@ struct DecayedStored {
 template <>
 struct PayloadCodec<DecayedStored> {
   static constexpr size_t kWireSize = sizeof(uint64_t) + 3 * sizeof(double);
-  static void Write(ByteWriter& w, const DecayedStored& s) {
-    w.WriteU64(s.key);
-    w.WriteDouble(s.weight);
-    w.WriteDouble(s.value);
-    w.WriteDouble(s.arrival_time);
+  static void Encode(char* out, const DecayedStored& s) {
+    std::memcpy(out, &s.key, sizeof(s.key));
+    std::memcpy(out + 8, &s.weight, sizeof(s.weight));
+    std::memcpy(out + 16, &s.value, sizeof(s.value));
+    std::memcpy(out + 24, &s.arrival_time, sizeof(s.arrival_time));
   }
-  static std::optional<DecayedStored> Read(ByteReader& r) {
-    const auto key = r.ReadU64();
-    const auto weight = r.ReadDouble();
-    const auto value = r.ReadDouble();
-    const auto time = r.ReadDouble();
-    if (!key.has_value() || !weight || !value || !time) return std::nullopt;
-    if (!(*weight > 0.0) || !std::isfinite(*weight) ||
-        !std::isfinite(*value) || !std::isfinite(*time)) {
-      return std::nullopt;
-    }
-    return DecayedStored{*key, *weight, *value, *time};
+  static DecayedStored Decode(const char* in) {
+    DecayedStored s;
+    std::memcpy(&s.key, in, sizeof(s.key));
+    std::memcpy(&s.weight, in + 8, sizeof(s.weight));
+    std::memcpy(&s.value, in + 16, sizeof(s.value));
+    std::memcpy(&s.arrival_time, in + 24, sizeof(s.arrival_time));
+    return s;
+  }
+  static bool Valid(const DecayedStored& s) {
+    return s.weight > 0.0 && std::isfinite(s.weight) &&
+           std::isfinite(s.value) && std::isfinite(s.arrival_time);
   }
 };
 

@@ -68,11 +68,12 @@ double KmvSketch::Estimate() const {
 }
 
 std::vector<std::pair<double, uint64_t>> KmvSketch::members() const {
+  const std::vector<size_t> order = store_.SortedOrder();
+  const std::vector<double>& priorities = store_.priorities();
+  const std::vector<uint64_t>& keys = store_.payloads();
   std::vector<std::pair<double, uint64_t>> out;
-  out.reserve(store_.size());
-  for (size_t i : store_.SortedOrder()) {
-    out.emplace_back(store_.priorities()[i], store_.payloads()[i]);
-  }
+  out.reserve(order.size());
+  for (size_t i : order) out.emplace_back(priorities[i], keys[i]);
   return out;
 }
 
@@ -83,8 +84,10 @@ void KmvSketch::Merge(const KmvSketch& other) {
   // Per-item offers (not a raw store merge): coordinated hashing means the
   // same key appears with the same priority in both sketches, and
   // OfferPriority suppresses those duplicates.
-  for (size_t i = 0; i < other.store_.size(); ++i) {
-    OfferPriority(other.store_.priorities()[i], other.store_.payloads()[i]);
+  const std::vector<double>& priorities = other.store_.priorities();
+  const std::vector<uint64_t>& keys = other.store_.payloads();
+  for (size_t i = 0; i < priorities.size(); ++i) {
+    OfferPriority(priorities[i], keys[i]);
   }
   store_.PurgeAboveThreshold();
 }

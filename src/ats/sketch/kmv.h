@@ -173,7 +173,7 @@ class KmvSketch {
   static FrameFault DiagnoseFrame(std::string_view frame);
 
   static constexpr uint32_t kWireMagic = 0x4b4d5632;  // "KMV2"
-  static constexpr uint32_t kWireVersion = 1;
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
   // Rebuilds seen_ from the retained priorities, shedding evicted ones.

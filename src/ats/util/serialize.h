@@ -26,6 +26,8 @@
 #include <string_view>
 #include <utility>
 
+#include "ats/core/simd/simd_dispatch.h"
+
 namespace ats {
 
 // Appends POD values to a byte string.
@@ -38,6 +40,20 @@ class ByteWriter {
   // nested body serialized into a scratch writer.
   void WriteBytes(std::string_view bytes) {
     Append(bytes.data(), bytes.size());
+  }
+
+  // Makes room for `n` more bytes without reallocating on the way. A
+  // writer that knows its encoded size reserves once instead of letting
+  // the buffer double (and copy) its way there.
+  void Reserve(size_t n) { bytes_.reserve(bytes_.size() + n); }
+
+  // Appends `n` bytes the caller must overwrite in full through the
+  // returned pointer, valid until the next write. Fixed-stride regions
+  // encode straight into it.
+  char* Grow(size_t n) {
+    const size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
   }
 
   const std::string& bytes() const { return bytes_; }
@@ -179,15 +195,47 @@ constexpr const char* FrameFaultName(FrameFault fault) {
   return "unknown";
 }
 
-// FNV-1a over a byte span; the whole-buffer framing below appends it so
-// any flipped byte is caught, not only the ones field validation can see.
-inline uint32_t FrameChecksum(std::string_view bytes) {
+// --- The trailing checksum ---------------------------------------------
+
+// Every framing in the library -- whole-buffer sketch frames, CKP1
+// checkpoint files (persist/checkpoint.h) and ENV1 envelopes
+// (cluster/envelope.h) -- starts with a u32 magic and a u32 version and
+// ends with a u32 checksum over every preceding byte, so any flipped
+// byte is caught, not only the ones field validation can see. The
+// framing's own version selects the checksum: version 1 carries FNV-1a
+// (the legacy trailer, verified on input and never written), every
+// later version CRC32C. There is no other switch.
+inline constexpr uint32_t kLegacyTrailerVersion = 1;
+
+// CRC32C (Castagnoli; reflected polynomial 0x82F63B78, init and xorout
+// 0xFFFFFFFF; "123456789" -> 0xE3069283) through the dispatched kernel.
+inline uint32_t Crc32c(std::string_view bytes) {
+  return simd::ActiveKernels().crc32c(0, bytes.data(), bytes.size());
+}
+
+// FNV-1a-32, the version-1 trailer. Byte-serial (about 4 cycles per
+// byte); kept only to verify frames and files written before version 2.
+inline uint32_t LegacyFnv1a32(std::string_view bytes) {
   uint32_t h = 2166136261u;
   for (unsigned char c : bytes) {
     h ^= c;
     h *= 16777619u;
   }
   return h;
+}
+
+// The trailer over `covered` -- the bytes of a framing before its
+// checksum -- selected by the version field at byte offset 4 of
+// `covered` itself. Bytes too short to hold a header get CRC32C; no
+// valid framing is that short.
+inline uint32_t FrameChecksum(std::string_view covered) {
+  uint32_t version = 0;
+  if (covered.size() >= 2 * sizeof(uint32_t)) {
+    std::memcpy(&version, covered.data() + sizeof(uint32_t),
+                sizeof(version));
+  }
+  return version == kLegacyTrailerVersion ? LegacyFnv1a32(covered)
+                                          : Crc32c(covered);
 }
 
 // Whole-buffer framing: serialize a sketch into an owned byte string with
@@ -197,14 +245,13 @@ template <MergeableSketch T>
 std::string SerializeSketch(const T& sketch) {
   ByteWriter w;
   sketch.SerializeTo(w);
-  std::string bytes = w.Take();
-  const uint32_t checksum = FrameChecksum(bytes);
-  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return bytes;
+  w.WriteU32(FrameChecksum(w.bytes()));
+  return w.Take();
 }
 
-// Verifies and strips the trailing frame checksum, returning the body
-// bytes (nullopt on truncation or mismatch).
+// Verifies and strips the trailing frame checksum -- FNV-1a or CRC32C,
+// as the body's header version selects -- returning the body bytes
+// (nullopt on truncation or mismatch).
 inline std::optional<std::string_view> CheckedFrameBody(
     std::string_view frame) {
   if (frame.size() < sizeof(uint32_t)) return std::nullopt;
@@ -247,13 +294,14 @@ std::optional<T> DeserializeSketch(std::string_view bytes) {
 // version ceiling, in header order: too short to even hold the 8-byte
 // header plus the trailing checksum -> kTruncated; foreign magic ->
 // kBadMagic; version 0 or above `max_version` -> kBadVersion; checksum
-// mismatch -> kCorruptBody. A bare sketch frame carries no declared
-// length, so a mid-body short read is indistinguishable from flipped
-// bytes here and reports kCorruptBody; the transport envelope
-// (cluster/envelope.h) declares its payload length and is where short
-// reads classify as kTruncated. Returns kNone when the structural layers
-// pass -- body-level field validation may still reject the frame, which
-// callers report as kCorruptBody (see the family DiagnoseFrame methods).
+// mismatch (against the trailer that version selects) -> kCorruptBody.
+// A bare sketch frame carries no declared length, so a mid-body short
+// read is indistinguishable from flipped bytes here and reports
+// kCorruptBody; the transport envelope (cluster/envelope.h) declares its
+// payload length and is where short reads classify as kTruncated.
+// Returns kNone when the structural layers pass -- body-level field
+// validation may still reject the frame, which callers report as
+// kCorruptBody (see the family DiagnoseFrame methods).
 inline FrameFault ClassifyFrameBytes(std::string_view frame, uint32_t magic,
                                      uint32_t max_version) {
   constexpr size_t kHeaderAndChecksum = 3 * sizeof(uint32_t);

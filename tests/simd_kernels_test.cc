@@ -1,11 +1,12 @@
 // Differential tests for the SIMD kernel tier (src/ats/core/simd/).
 //
 // Every kernel is pinned to the scalar reference at every dispatch level
-// the host CPU supports: bit-exact for the mask and hash kernels, and
+// the host CPU supports: bit-exact for the mask and hash kernels,
 // bit-exact for log_span (all levels evaluate the FastLog operation
-// sequence with plain IEEE arithmetic in fixed order). FastLog itself is
-// pinned to libm within 2 ulp across normals, denormals, and the
-// boundary values the samplers can feed it.
+// sequence with plain IEEE arithmetic in fixed order), and bit-exact for
+// crc32c against a bit-at-a-time reference and published check values.
+// FastLog itself is pinned to libm within 2 ulp across normals,
+// denormals, and the boundary values the samplers can feed it.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -165,15 +166,14 @@ TEST(HashPriorityMask, BitExactAtEveryLevelUnaligned) {
 // --- log_span / FastLog -----------------------------------------------
 
 std::vector<double> LogTestInputs() {
-  std::vector<double> xs;
   // Boundary and hostile values.
-  xs.insert(xs.end(),
-            {1.0, 0x1.fffffffffffffp-1, 0x1.0000000000001p0, 2.0, 0.5,
-             std::exp(1.0), 4.9e-324, 2.2250738585072014e-308,
-             2.2250738585072009e-308,  // max denormal
-             1e-300, 1e300, std::numeric_limits<double>::max(),
-             std::numeric_limits<double>::infinity(), 0.70710678118,
-             1.4142135623730951, 3.0, 10.0, 1e-10, 1e10});
+  std::vector<double> xs = {
+      1.0, 0x1.fffffffffffffp-1, 0x1.0000000000001p0, 2.0, 0.5,
+      std::exp(1.0), 4.9e-324, 2.2250738585072014e-308,
+      2.2250738585072009e-308,  // max denormal
+      1e-300, 1e300, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(), 0.70710678118,
+      1.4142135623730951, 3.0, 10.0, 1e-10, 1e10};
   // Random spread over the uniform-(0,1] range the samplers draw from,
   // plus wide exponents.
   Xoshiro256 rng(0xab5eedu);
@@ -234,6 +234,93 @@ TEST(LogSpan, InPlaceAllowed) {
       expected[i] = simd::FastLog(buf[i]);
     ActiveKernels().log_span(buf.data(), buf.data(), buf.size());
     EXPECT_EQ(buf, expected) << "level=" << SimdLevelName(level);
+  }
+}
+
+// --- crc32c ------------------------------------------------------------
+
+// Bit-at-a-time CRC32C straight from the definition: reflected
+// polynomial 0x82F63B78, init and xorout 0xFFFFFFFF.
+uint32_t ReferenceCrc32c(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0x82F63B78u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<unsigned char> bytes(n);
+  Xoshiro256 rng(seed);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32c, KnownAnswersAtEveryLevel) {
+  const std::string check = "123456789";
+  const std::vector<unsigned char> zeros(32, 0x00);
+  const std::vector<unsigned char> ones(32, 0xFF);
+  std::vector<unsigned char> ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<unsigned char>(i);
+  }
+  for (SimdLevel level : AvailableLevels()) {
+    SCOPED_TRACE(SimdLevelName(level));
+    ScopedSimdLevel scoped(level);
+    const auto crc32c = ActiveKernels().crc32c;
+    EXPECT_EQ(crc32c(0, check.data(), check.size()), 0xE3069283u);
+    EXPECT_EQ(crc32c(0, "", 0), 0u);
+    EXPECT_EQ(crc32c(0, nullptr, 0), 0u);
+    // The iSCSI vectors of RFC 3720, appendix B.4.
+    EXPECT_EQ(crc32c(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc32c(0, ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc32c(0, ascending.data(), ascending.size()), 0x46DD794Eu);
+  }
+}
+
+TEST(Crc32c, BitExactAtEveryLevelLengthAndAlignment) {
+  const std::vector<unsigned char> bytes = RandomBytes(257 + 8, 0xc5c);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n = 0; n <= 257; ++n) {
+      const unsigned char* p = bytes.data() + align;
+      const uint32_t expected = ReferenceCrc32c(p, n);
+      for (SimdLevel level : AvailableLevels()) {
+        ScopedSimdLevel scoped(level);
+        ASSERT_EQ(ActiveKernels().crc32c(0, p, n), expected)
+            << "level=" << SimdLevelName(level) << " n=" << n
+            << " align=" << align;
+      }
+    }
+  }
+}
+
+// Long buffers take the AVX2 level's interleaved three-stream path
+// (stripes of 3 KiB); lengths straddle its stripe boundaries.
+TEST(Crc32c, BitExactOnLongBuffersAndWhenChained) {
+  const std::vector<unsigned char> bytes = RandomBytes(100'000 + 8, 0x10c);
+  for (size_t n : {3071u, 3072u, 3073u, 6144u, 6151u, 9215u, 65536u,
+                   100'000u}) {
+    for (size_t align : {0u, 3u}) {
+      const unsigned char* p = bytes.data() + align;
+      const uint32_t expected = ReferenceCrc32c(p, n);
+      for (SimdLevel level : AvailableLevels()) {
+        ScopedSimdLevel scoped(level);
+        const auto crc32c = ActiveKernels().crc32c;
+        EXPECT_EQ(crc32c(0, p, n), expected)
+            << "level=" << SimdLevelName(level) << " n=" << n
+            << " align=" << align;
+        // Continuing from the CRC of a prefix gives the CRC of the whole.
+        for (size_t split : {size_t{0}, size_t{1}, n / 3, n}) {
+          EXPECT_EQ(crc32c(crc32c(0, p, split), p + split, n - split),
+                    expected)
+              << "level=" << SimdLevelName(level) << " n=" << n
+              << " split=" << split;
+        }
+      }
+    }
   }
 }
 

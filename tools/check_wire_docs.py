@@ -12,7 +12,11 @@ in docs/WIRE_FORMAT.md:
   * each SchemeKind value must have a ``| <kind> |`` row in the CKP1
     kind table,
   * the documented kBadKind bound must match [kMinSchemeKind,
-    kMaxSchemeKind] from checkpoint.h.
+    kMaxSchemeKind] from checkpoint.h,
+  * the golden corpus (tests/golden/v<N>/<TAG>.bin) must hold a file for
+    every magic in every corpus version, headed by that magic and N, and
+    the newest corpus version must be the "current version" the family
+    table documents.
 
 Exits non-zero listing every gap, so the docs CI job fails when a new
 frame lands without its spec.  Run from anywhere:
@@ -28,6 +32,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "ats"
 DOC = REPO / "docs" / "WIRE_FORMAT.md"
 CHECKPOINT_H = SRC / "persist" / "checkpoint.h"
+GOLDEN = REPO / "tests" / "golden"
 
 # Every magic declaration names its ASCII tag in a trailing comment
 # (the tag cannot be decoded from the literal alone: byte order in the
@@ -40,6 +45,8 @@ MAGIC_RE = re.compile(
 ENUM_RE = re.compile(r"enum class SchemeKind[^{]*\{(.*?)\};", re.DOTALL)
 ENUMERATOR_RE = re.compile(r"\bk(\w+)\s*=\s*(\d+)")
 BOUND_RE = re.compile(r"\bk(Min|Max)SchemeKind\s*=\s*(\d+)\s*;")
+FAMILY_ROW_RE = re.compile(r"^\|[^|]*\|\s*`0x[0-9a-fA-F]{8}`\s*\|\s*`(\w{4})`"
+                           r"\s*\|\s*(\d+)\s*\|", re.MULTILINE)
 
 
 def collect_magics():
@@ -67,6 +74,34 @@ def collect_scheme_kinds():
     kinds = {int(v): n for n, v in ENUMERATOR_RE.findall(enum_body.group(1))}
     bounds = {m.group(1): int(m.group(2)) for m in BOUND_RE.finditer(text)}
     return kinds, bounds.get("Min"), bounds.get("Max")
+
+
+def check_corpus(magics, doc):
+    """Problems between the golden corpus, the magics and the doc."""
+    problems = []
+    versions = sorted(int(d.name[1:]) for d in GOLDEN.glob("v*")
+                      if d.is_dir() and d.name[1:].isdigit())
+    if not versions:
+        return [f"no golden corpus under {GOLDEN.relative_to(REPO)}"]
+    for version in versions:
+        for name, (hex_literal, _) in sorted(magics.items()):
+            path = GOLDEN / f"v{version}" / f"{name}.bin"
+            if not path.is_file():
+                problems.append(f"{path.relative_to(REPO)} is missing")
+                continue
+            head = path.read_bytes()[:8]
+            want = (int(hex_literal, 16).to_bytes(4, "little") +
+                    version.to_bytes(4, "little"))
+            if head != want:
+                problems.append(
+                    f"{path.relative_to(REPO)}: header is not "
+                    f"{name} version {version}")
+    for name, documented in FAMILY_ROW_RE.findall(doc):
+        if int(documented) != versions[-1]:
+            problems.append(
+                f"{name}: the family table says version {documented}, the "
+                f"newest golden corpus is v{versions[-1]}")
+    return problems
 
 
 def main():
@@ -109,13 +144,16 @@ def main():
                 f"documented kBadKind bound does not mention [{lo}, {hi}] "
                 f"(checkpoint.h says kMin/kMaxSchemeKind = {lo}/{hi})")
 
+    problems += check_corpus(magics, doc)
+
     if problems:
         print("check_wire_docs: WIRE_FORMAT.md is incomplete:")
         for p in problems:
             print(f"  - {p}")
         return 1
     print(f"check_wire_docs: {len(magics)} frame magics and "
-          f"{len(kinds)} scheme kinds all documented")
+          f"{len(kinds)} scheme kinds all documented, golden corpus "
+          f"consistent")
     return 0
 
 
