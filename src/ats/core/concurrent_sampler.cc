@@ -91,12 +91,6 @@ size_t ConcurrentPrioritySampler::AddShardBatch(
   return core_.AddShardBatch(shard, items);
 }
 
-ConcurrentPrioritySampler::Writer ConcurrentPrioritySampler::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentPrioritySampler::Drain() { core_.Drain(); }
-
 ConcurrentPrioritySampler::MergedSample ConcurrentPrioritySampler::Merged()
     const {
   const auto snapshot = core_.Snapshot();
@@ -142,12 +136,6 @@ size_t ConcurrentKmvSketch::AddShardKeys(size_t shard,
                                          std::span<const uint64_t> keys) {
   return core_.AddShardBatch(shard, keys);
 }
-
-ConcurrentKmvSketch::Writer ConcurrentKmvSketch::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentKmvSketch::Drain() { core_.Drain(); }
 
 double ConcurrentKmvSketch::Estimate() const {
   return core_.Snapshot()->Estimate();
@@ -196,12 +184,6 @@ size_t ConcurrentWindowSampler::AddShardBatch(
     size_t shard, std::span<const Arrival> arrivals) {
   return core_.AddShardBatch(shard, arrivals);
 }
-
-ConcurrentWindowSampler::Writer ConcurrentWindowSampler::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentWindowSampler::Drain() { core_.Drain(); }
 
 double ConcurrentWindowSampler::ImprovedThreshold(double now) const {
   SlidingWindowSampler merged = *core_.Snapshot();
@@ -260,12 +242,6 @@ size_t ConcurrentDecaySampler::AddShardBatch(
     size_t shard, std::span<const TimedItem> items) {
   return core_.AddShardBatch(shard, items);
 }
-
-ConcurrentDecaySampler::Writer ConcurrentDecaySampler::RegisterWriter() {
-  return core_.RegisterWriter();
-}
-
-void ConcurrentDecaySampler::Drain() { core_.Drain(); }
 
 double ConcurrentDecaySampler::LogKeyThreshold() const {
   return core_.Snapshot()->LogKeyThreshold();

@@ -1,15 +1,15 @@
 // Concurrent ingestion tier: internally thread-safe streaming front-ends
-// with epoch-snapshot queries and a wait-free writer-local write path.
+// with striped shard locks and epoch-snapshot queries.
 //
 // Everything below tier 4 treats thread-parallelism as the caller's
 // problem: ShardedSampler::AddShardBatch is only safe when callers
 // hand-partition shards across their own threads, and every query API
 // must be quiesced against ingest. ConcurrentSampler<Scenario> closes
 // that gap. It owns S shards -- each an ordinary full-capacity sampler
-// over a disjoint hash partition of the key space -- and offers two
-// write paths plus one read protocol:
+// over a disjoint hash partition of the key space -- and offers one
+// write path plus one read protocol:
 //
-// Locked write path (Add / AddBatch / AddShardBatch). An ingest call
+// Write path (Add / AddBatch / AddShardBatch). An ingest call
 // partitions its batch into per-shard runs, takes each touched shard's
 // stripe lock, feeds the run through the shard's batched ingest path
 // (the fused hash->priority->pre-filter pipeline of sample_store.h),
@@ -19,67 +19,49 @@
 // state is always current, so TotalRetained and footprint reads need no
 // reconciliation.
 //
-// Wait-free write path (RegisterWriter). A registered writer owns a
-// private block of per-shard mini-samplers (writer_local.h) and ingests
-// into it with ZERO shared-state writes except two release-ordered
-// atomics: the block mailbox and the writer's epoch counter. No mutex,
-// no CAS loop, no contention with other writers or readers -- each
-// ingest is a bounded number of steps regardless of what any other
-// thread does. The mergeable-sample algebra makes the deferral sound: a
-// mini-sampler over a writer's substream merges EXACTLY into the
-// authoritative shard (threshold-pruned MergeMany, the same engine the
-// cluster tier trusts), so reconciliation can happen lazily at epoch
-// boundaries -- a reader that finds the cache dirty drains every
-// writer's published block into the shards (Drain() forces the same
-// thing deterministically) -- instead of on every batch. Drain order is
-// canonical: writers in registration order, shards ascending, so a
-// quiesced drain is reproducible.
-//
 // Reader protocol. A query loads the current snapshot pointer -- a raw
 // std::atomic<const SnapshotState*>, genuinely lock-free (statically
-// asserted; the previously documented std::atomic<std::shared_ptr>
-// scheme was NOT: libstdc++ implements it with a per-object lock, and
-// its atomic free functions with a shared mutex pool, so the old "lock-
-// free shared_ptr load" claim was false) -- and validates it against
-// the published shard epochs and writer epochs with acquire loads. On a
-// clean cache the whole read is the pointer load, a refcount upgrade
-// through enable_shared_from_this, and O(S + W) atomic compares: no
-// lock is ever acquired (the lock-counting probe and the TSan suite pin
-// this), so clean reads never block writers and writers never block
-// reads. When an epoch moved, ONE reader rebuilds (a rebuild mutex
-// serializes rebuilders only): it drains the writer-local blocks,
-// copies each shard under that shard's lock -- a locked-path writer
-// waits at most the O(k) copy of its own shard, never the merge -- runs
-// the threshold-pruned k-way merge over the copies, canonicalizes, and
+// asserted; std::atomic<std::shared_ptr> is NOT: libstdc++ implements
+// it with a per-object lock, and its atomic free functions with a
+// shared mutex pool) -- and validates it against the published shard
+// epochs with acquire loads. On a clean cache the whole read is the
+// pointer load, a refcount upgrade through enable_shared_from_this, and
+// O(S) atomic compares: no lock is ever acquired (the lock-counting
+// probe and the TSan suite pin this), so clean reads never block
+// writers and writers never block reads. When an epoch moved, ONE
+// reader rebuilds (a rebuild mutex serializes rebuilders only): it
+// copies each shard under that shard's lock -- a writer waits at most
+// the O(k) copy of its own shard, never the merge -- runs the
+// threshold-pruned k-way merge over the copies, canonicalizes, and
 // publishes the new snapshot. Retired snapshots park in a graveyard
 // that is reclaimed only when a seq_cst reader-in-flight counter reads
 // zero, so a reader that already loaded the raw pointer can always
 // finish its refcount upgrade safely.
 //
 // Snapshot semantics. Because the per-shard streams are disjoint key
-// partitions and every drained mini is a sample of one writer's
-// substream prefix, any snapshot is a valid merged sample of a stream
-// the system actually ingested -- "epoch consistency". With
-// coordinated (hash-derived) priorities the snapshot taken after
-// writers quiesce and drain is EXACTLY the single-store sample of the
-// concatenated stream (same argument as sharded_sampler.h), which the
-// concurrent-equivalence differential tests pin down for both write
-// paths. Scenarios that draw priorities from per-sampler RNGs
-// (independent-mode bottom-k, window, decay) stay statistically exact
-// under writer-local ingest -- every mini generation gets a fresh
-// derived seed (WriterLocalSalt), never a replayed stream -- but are
-// bit-identical to the sequential reference only for a single
-// registered writer's first block generation (salt 0), which is what
-// the differential tests use.
+// partitions, any snapshot is a valid merged sample of a stream the
+// system actually ingested -- "epoch consistency". With coordinated
+// (hash-derived) priorities the snapshot taken after writers quiesce is
+// EXACTLY the single-store sample of the concatenated stream (the
+// substitutable-threshold argument of sharded_sampler.h), which the
+// concurrent-equivalence differential tests pin down.
+//
+// Time-axis scenarios (window, decay) need non-decreasing arrival times
+// per shard, so several writers feeding ONE such sampler must own
+// disjoint shards (AddShardBatch, each in its own time order). For
+// writers whose streams overlap in key space, give each writer its own
+// sequential SlidingWindowSampler / TimeDecaySampler and combine them
+// with MergeMany at query time -- the same mergeable-sample algebra the
+// cluster tier relies on.
 //
 // Scenarios. The template is instantiated for every sampling scenario
 // in the library through small trait structs (routing key, per-shard
-// ingest, epoch accessor, k-way merge, mini construction/absorption);
-// the concrete front-ends below -- ConcurrentPrioritySampler,
-// ConcurrentKmvSketch, ConcurrentWindowSampler, ConcurrentDecaySampler
-// -- wrap the existing sharded layouts (same routing salts, same
-// per-shard seeds, same merge), so the concurrent and sequential
-// front-ends are bit-equivalent over the same per-shard streams.
+// ingest, epoch accessor, k-way merge); the concrete front-ends below
+// -- ConcurrentPrioritySampler, ConcurrentKmvSketch,
+// ConcurrentWindowSampler, ConcurrentDecaySampler -- wrap the existing
+// sharded layouts (same routing salts, same per-shard seeds, same
+// merge), so the concurrent and sequential front-ends are
+// bit-equivalent over the same per-shard streams.
 #ifndef ATS_CORE_CONCURRENT_SAMPLER_H_
 #define ATS_CORE_CONCURRENT_SAMPLER_H_
 
@@ -95,7 +77,6 @@
 #include "ats/core/random.h"
 #include "ats/core/shard_routing.h"
 #include "ats/core/sharded_sampler.h"
-#include "ats/core/writer_local.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/sketch/kmv.h"
@@ -131,11 +112,8 @@ class CountedLockGuard {
 ///     struct Config {...};  // construction parameters (k, seed, ...)
 ///     static constexpr uint64_t kRouteSalt;           // shard routing
 ///     static Shard MakeShard(const Config&, size_t shard);
-///     static Shard MakeLocalShard(const Config&, size_t shard,
-///                                 uint64_t writer_salt);  // mini-store
 ///     static uint64_t RouteKey(const Item&);
 ///     static size_t Ingest(Shard&, std::span<const Item>);
-///     static void AbsorbMany(Shard&, std::span<const Shard* const>);
 ///     static uint64_t Epoch(const Shard&);  // O(1), non-canonicalizing
 ///     static Merged MergeShards(const Config&,
 ///                               std::span<const Shard* const>);
@@ -144,7 +122,6 @@ class CountedLockGuard {
 ///
 /// Thread-safety contract (every public method unless noted): safe to
 /// call from any number of threads concurrently with any other method.
-/// Writer handles must not outlive the sampler they were registered on.
 template <typename Scenario>
 class ConcurrentSampler {
  public:
@@ -228,166 +205,21 @@ class ConcurrentSampler {
     return accepted;
   }
 
-  // --- Wait-free writer-local ingest ----------------------------------
-
- private:
-  // Defined below with the other private types; declared here so the
-  // Writer class's member signatures can name it.
-  struct Block;
-
- public:
-  class Writer;
-
-  /// Registers a wait-free writer handle. Thread-safe and lock-free;
-  /// at most internal::kMaxWriterSlots registrations per sampler
-  /// lifetime (slots are never reused). The handle is movable, must be
-  /// used by one thread at a time, and must not outlive the sampler.
-  /// Destroying the handle retires the writer; anything it published
-  /// but was not yet drained is picked up by the next drain -- items
-  /// are never lost, even when a writer goes away with pending state.
-  Writer RegisterWriter() {
-    auto reg = writers_.Register();
-    return Writer(this, reg.slot, reg.index);
-  }
-
-  /// Merges every registered writer's published mini-stores into the
-  /// authoritative shards, deterministically (registration order,
-  /// shards ascending). Dirty snapshots trigger the same drain; this
-  /// entry point exists so tests and quiesce points can force it.
-  /// Thread-safe; never blocks writer-local ingest (writers are
-  /// wait-free throughout a drain -- a writer that finds both its block
-  /// slots empty simply starts a fresh block).
-  void Drain() {
-    internal::CountedLockGuard drain(drain_mu_, lock_acquisitions_);
-    DrainLocked();
-  }
-
-  /// One writer's wait-free ingest handle. Ingest calls perform no
-  /// lock acquisition and no shared-state writes except the mailbox
-  /// store and the epoch publish (writer_local.h); the per-shard
-  /// routing scratch lives in the handle and is reused across calls,
-  /// so steady-state ingest (block recycled through the mailbox or
-  /// spare slot) performs no allocation at all.
-  class Writer {
-   public:
-    Writer(Writer&& other) noexcept
-        : owner_(other.owner_),
-          slot_(other.slot_),
-          index_(other.index_),
-          next_epoch_(other.next_epoch_),
-          runs_(std::move(other.runs_)),
-          touched_(std::move(other.touched_)) {
-      other.slot_ = nullptr;
-    }
-    Writer(const Writer&) = delete;
-    Writer& operator=(const Writer&) = delete;
-    Writer& operator=(Writer&&) = delete;
-
-    ~Writer() {
-      if (slot_ == nullptr) return;
-      // Retire: bump the epoch so the next drain/snapshot re-examines
-      // this slot and absorbs anything still sitting in the mailbox.
-      slot_->epoch.store(++next_epoch_, std::memory_order_release);
-      slot_ = nullptr;
-    }
-
-    /// Ingests one item. Returns the number accepted by the
-    /// mini-sampler (0 or 1).
-    size_t Add(const Item& item) {
-      return AddBatch(std::span<const Item>(&item, 1));
-    }
-
-    /// Routed batched ingest into this writer's private mini-stores.
-    /// Wait-free: no locks, no CAS loops, no waiting on any other
-    /// thread. Returns the number of items accepted by the minis (an
-    /// upper bound on what survives the drain merge, exactly like a
-    /// shard count before the k-way re-cap).
-    size_t AddBatch(std::span<const Item> items) {
-      ATS_CHECK(slot_ != nullptr);
-      if (items.empty()) return 0;
-      Block* block = TakeBlock();
-      const size_t num_shards = owner_->shards_.size();
-      size_t accepted = 0;
-      bool changed = false;
-      if (num_shards == 1) {
-        const uint64_t before = Scenario::Epoch(block->minis[0]);
-        accepted = Scenario::Ingest(block->minis[0], items);
-        changed = Scenario::Epoch(block->minis[0]) != before;
-      } else {
-        if (runs_.size() < num_shards) runs_.resize(num_shards);
-        for (const uint32_t s : touched_) runs_[s].clear();
-        touched_.clear();
-        for (const Item& item : items) {
-          const size_t s = owner_->ShardOf(Scenario::RouteKey(item));
-          if (runs_[s].empty()) {
-            touched_.push_back(static_cast<uint32_t>(s));
-          }
-          runs_[s].push_back(item);
-        }
-        for (const uint32_t s : touched_) {
-          const uint64_t before = Scenario::Epoch(block->minis[s]);
-          accepted += Scenario::Ingest(block->minis[s], runs_[s]);
-          changed |= Scenario::Epoch(block->minis[s]) != before;
-        }
-      }
-      // Publish the block BEFORE the epoch (both release): a drainer
-      // that observes the new epoch and then finds the mailbox
-      // non-null is guaranteed to see this batch's minis. The mailbox
-      // is necessarily empty here -- only this writer stores into it,
-      // and TakeBlock emptied it.
-      slot_->mailbox.store(block, std::memory_order_release);
-      if (changed) {
-        slot_->epoch.store(++next_epoch_, std::memory_order_release);
-      }
-      return accepted;
-    }
-
-   private:
-    friend class ConcurrentSampler;
-    using Slot = typename internal::WriterLocalRegistry<Block>::Slot;
-
-    Writer(ConcurrentSampler* owner, Slot* slot, size_t index)
-        : owner_(owner), slot_(slot), index_(index) {}
-
-    Block* TakeBlock() {
-      auto* block = slot_->mailbox.exchange(nullptr,
-                                            std::memory_order_acquire);
-      if (block == nullptr) {
-        block = slot_->spare.exchange(nullptr, std::memory_order_acquire);
-      }
-      // Both empty only while a drain holds the block: start fresh (the
-      // only allocating path; steady state recycles).
-      if (block == nullptr) block = owner_->NewBlock(*slot_, index_);
-      return block;
-    }
-
-    ConcurrentSampler* owner_;
-    Slot* slot_;
-    size_t index_;
-    uint64_t next_epoch_ = 0;
-    // Reusable routing scratch (satellite of the same allocation-free
-    // discipline as the locked path's thread-local scratch).
-    std::vector<std::vector<Item>> runs_;
-    std::vector<uint32_t> touched_;
-  };
-
-  /// The merged snapshot. Clean cache (no shard epoch and no writer
-  /// epoch moved since the cached snapshot was built): a lock-free raw
-  /// atomic pointer load, a refcount upgrade, and O(S + W) atomic
-  /// epoch compares -- NO lock acquisition (asserted by the
-  /// lock-counting probe test), so clean reads never block writers.
-  /// Dirty cache: one reader drains the writer-local blocks and
-  /// rebuilds (copy each shard under its lock, merge the copies
-  /// lock-free, publish) while other readers wait on the rebuild mutex
-  /// only. The returned snapshot is immutable and canonicalized: every
-  /// const accessor on it is a pure read, so any number of threads may
-  /// query one snapshot concurrently. It stays valid (and internally
-  /// consistent) for as long as the pointer is held, no matter how much
-  /// ingest happens after.
+  /// The merged snapshot. Clean cache (no shard epoch moved since the
+  /// cached snapshot was built): a lock-free raw atomic pointer load, a
+  /// refcount upgrade, and O(S) atomic epoch compares -- NO lock
+  /// acquisition (asserted by the lock-counting probe test), so clean
+  /// reads never block writers. Dirty cache: one reader rebuilds (copy
+  /// each shard under its lock, merge the copies lock-free, publish)
+  /// while other readers wait on the rebuild mutex only. The returned
+  /// snapshot is immutable and canonicalized: every const accessor on
+  /// it is a pure read, so any number of threads may query one snapshot
+  /// concurrently. It stays valid (and internally consistent) for as
+  /// long as the pointer is held, no matter how much ingest happens
+  /// after.
   std::shared_ptr<const Merged> Snapshot() const {
     auto state = AcquireSnapshot();
-    if (state == nullptr || !published_.Matches(state->epochs) ||
-        !WriterEpochsMatch(state->writer_epochs)) {
+    if (state == nullptr || !published_.Matches(state->epochs)) {
       state = RebuildSnapshot();
     }
     // Aliasing pointer: shares ownership of the whole snapshot state,
@@ -395,11 +227,10 @@ class ConcurrentSampler {
     return std::shared_ptr<const Merged>(state, &state->merged);
   }
 
-  /// Total items currently retained across the authoritative shards
-  /// (>= the merged sample size; the merge re-caps at k). Excludes
-  /// writer-local items not yet drained -- call Drain() first for a
-  /// full count. Takes each shard's lock in turn, so the total is a
-  /// sum of per-shard instants, not one global instant.
+  /// Total items currently retained across the shards (>= the merged
+  /// sample size; the merge re-caps at k). Takes each shard's lock in
+  /// turn, so the total is a sum of per-shard instants, not one global
+  /// instant.
   size_t TotalRetained() const
     requires requires(const Shard& s) { Scenario::Retained(s); }
   {
@@ -415,9 +246,7 @@ class ConcurrentSampler {
   const Config& config() const { return config_; }
 
   /// Live heap bytes across the shard slots plus the currently
-  /// published snapshot (util/memory.h convention). Excludes
-  /// writer-local blocks in flight (they are private to their writer or
-  /// the drainer and cannot be inspected safely). Takes each shard's
+  /// published snapshot (util/memory.h convention). Takes each shard's
   /// lock in turn -- like TotalRetained, the total is a sum of
   /// per-shard instants, not one global instant. Thread-safe like every
   /// other public method.
@@ -430,8 +259,7 @@ class ConcurrentSampler {
     const auto state = AcquireSnapshot();
     if (state != nullptr) {
       total += state->merged.MemoryFootprint() +
-               (state->epochs.size() + state->writer_epochs.size()) *
-                   sizeof(uint64_t);
+               state->epochs.size() * sizeof(uint64_t);
     }
     return total;
   }
@@ -439,7 +267,7 @@ class ConcurrentSampler {
   // --- Introspection probes (tests) ------------------------------------
 
   /// Total mutex acquisitions ever performed by this sampler, across
-  /// every path (shard stripes, rebuild, drain). The clean-read probe
+  /// every path (shard stripes, rebuild). The clean-read probe
   /// test asserts this does not move across clean Snapshot() calls.
   uint64_t LockAcquisitionsForTest() const {
     return lock_acquisitions_.load(std::memory_order_relaxed);
@@ -462,28 +290,16 @@ class ConcurrentSampler {
     Shard sampler;
   };
 
-  /// One writer's private per-shard mini-samplers. minis[s] is dirty
-  /// iff its epoch moved off base_epochs[s] (recorded at construction /
-  /// reset), so the drain skips untouched shards without any flags.
-  struct Block {
-    std::vector<Shard> minis;
-    std::vector<uint64_t> base_epochs;
-  };
-
   /// An immutable published snapshot: the merged sampler plus the
-  /// shard- and writer-epoch vectors it was built at (the validation
-  /// tokens). enable_shared_from_this is what lets a reader upgrade
-  /// the raw published pointer back to shared ownership without any
+  /// shard-epoch vector it was built at (the validation token).
+  /// enable_shared_from_this is what lets a reader upgrade the raw
+  /// published pointer back to shared ownership without any
   /// atomic<shared_ptr> machinery.
   struct SnapshotState : std::enable_shared_from_this<SnapshotState> {
-    SnapshotState(Merged m, std::vector<uint64_t> e,
-                  std::vector<uint64_t> w)
-        : merged(std::move(m)),
-          epochs(std::move(e)),
-          writer_epochs(std::move(w)) {}
+    SnapshotState(Merged m, std::vector<uint64_t> e)
+        : merged(std::move(m)), epochs(std::move(e)) {}
     Merged merged;
     std::vector<uint64_t> epochs;
-    std::vector<uint64_t> writer_epochs;
   };
 
   // The publication scheme exists to fix the non-lock-free
@@ -510,111 +326,12 @@ class ConcurrentSampler {
     return state;
   }
 
-  /// True iff every registered writer's published epoch equals the
-  /// snapshot's recorded (fully drained) epoch. Lock-free.
-  bool WriterEpochsMatch(const std::vector<uint64_t>& snap) const {
-    const size_t n = writers_.count();
-    if (snap.size() != n) return false;
-    for (size_t w = 0; w < n; ++w) {
-      if (writers_.slot(w).epoch.load(std::memory_order_acquire) !=
-          snap[w]) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Allocates a fresh block for `slot` with generation-salted minis
-  /// (see WriterLocalSalt: generation 0 of writer 0 mirrors the
-  /// authoritative shard seeds exactly).
-  Block* NewBlock(typename internal::WriterLocalRegistry<Block>::Slot& slot,
-                  size_t writer_index) const {
-    const uint64_t generation =
-        slot.generation.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t salt =
-        internal::WriterLocalSalt(writer_index, generation);
-    auto block = std::make_unique<Block>();
-    block->minis.reserve(shards_.size());
-    block->base_epochs.reserve(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      block->minis.push_back(Scenario::MakeLocalShard(config_, s, salt));
-      block->base_epochs.push_back(Scenario::Epoch(block->minis.back()));
-    }
-    return block.release();
-  }
-
-  /// Drains every writer's published block into the authoritative
-  /// shards through the threshold-pruned MergeMany engine. Requires
-  /// drain_mu_. Wait-free for writers throughout: the only
-  /// writer-shared state touched is the mailbox/spare exchanges.
-  void DrainLocked() const {
-    const size_t writer_count = writers_.count();
-    if (writer_count == 0) return;
-    auto& taken = drain_taken_;
-    taken.clear();
-    for (size_t w = 0; w < writer_count; ++w) {
-      auto& slot = writers_.slot(w);
-      const uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
-      if (epoch == slot.drained_epoch) continue;
-      Block* block =
-          slot.mailbox.exchange(nullptr, std::memory_order_acquire);
-      // Null mailbox: the writer is mid-batch holding the block. Its
-      // items ride in that block and will be re-published, so leaving
-      // drained_epoch stale (and the snapshot dirty) until the next
-      // drain loses nothing. Only a captured block justifies recording
-      // the epoch as absorbed.
-      if (block == nullptr) continue;
-      slot.drained_epoch = epoch;
-      taken.push_back(TakenBlock{block, w});
-    }
-    if (taken.empty()) return;
-    // Shards ascending, and per shard the minis in writer-registration
-    // order: the canonical drain order (MergeMany is observationally
-    // a fold in span order, so a quiesced drain is reproducible).
-    auto& minis = drain_minis_;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      minis.clear();
-      for (const TakenBlock& t : taken) {
-        if (Scenario::Epoch(t.block->minis[s]) != t.block->base_epochs[s]) {
-          minis.push_back(&t.block->minis[s]);
-        }
-      }
-      if (minis.empty()) continue;
-      ShardSlot& shard = *shards_[s];
-      internal::CountedLockGuard lock(shard.mu, lock_acquisitions_);
-      Scenario::AbsorbMany(shard.sampler, minis);
-      published_.Publish(s, Scenario::Epoch(shard.sampler));
-    }
-    // Reset the drained minis with fresh generation salts (a reused
-    // RNG stream would replay its draws) and recycle the blocks
-    // through the spare slots.
-    for (const TakenBlock& t : taken) {
-      auto& slot = writers_.slot(t.writer);
-      const uint64_t generation =
-          slot.generation.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t salt =
-          internal::WriterLocalSalt(t.writer, generation);
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if (Scenario::Epoch(t.block->minis[s]) == t.block->base_epochs[s]) {
-          continue;  // untouched mini: keep it (and its unused RNG)
-        }
-        t.block->minis[s] = Scenario::MakeLocalShard(config_, s, salt);
-        t.block->base_epochs[s] = Scenario::Epoch(t.block->minis[s]);
-      }
-      Block* prev =
-          slot.spare.exchange(t.block, std::memory_order_acq_rel);
-      // A previous spare the writer never picked up is redundant now.
-      delete prev;
-    }
-  }
-
   std::shared_ptr<const SnapshotState> RebuildSnapshot() const {
     internal::CountedLockGuard rebuild(rebuild_mu_, lock_acquisitions_);
     // Double-check under the rebuild lock: another reader may have
     // published a fresh snapshot while this one waited.
     if (current_owner_ != nullptr &&
-        published_.Matches(current_owner_->epochs) &&
-        WriterEpochsMatch(current_owner_->writer_epochs)) {
+        published_.Matches(current_owner_->epochs)) {
       return current_owner_;
     }
     TryReclaimRetired();
@@ -622,26 +339,13 @@ class ConcurrentSampler {
     copies.reserve(shards_.size());
     std::vector<uint64_t> epochs;
     epochs.reserve(shards_.size());
-    std::vector<uint64_t> writer_epochs;
-    {
-      internal::CountedLockGuard drain(drain_mu_, lock_acquisitions_);
-      DrainLocked();
-      // Record what the drain actually absorbed: a writer caught
-      // mid-batch keeps drained < published, which leaves the new
-      // snapshot conservatively dirty until its batch is drained.
-      const size_t writer_count = writers_.count();
-      writer_epochs.reserve(writer_count);
-      for (size_t w = 0; w < writer_count; ++w) {
-        writer_epochs.push_back(writers_.slot(w).drained_epoch);
-      }
-      // Copy each shard under its own lock -- a locked-path writer is
-      // blocked at most for the O(k) copy of its shard, never for the
-      // merge -- recording the epoch the copy is consistent with.
-      for (const auto& slot : shards_) {
-        internal::CountedLockGuard lock(slot->mu, lock_acquisitions_);
-        epochs.push_back(Scenario::Epoch(slot->sampler));
-        copies.push_back(slot->sampler);
-      }
+    // Copy each shard under its own lock -- a writer is blocked at most
+    // for the O(k) copy of its shard, never for the merge -- recording
+    // the epoch the copy is consistent with.
+    for (const auto& slot : shards_) {
+      internal::CountedLockGuard lock(slot->mu, lock_acquisitions_);
+      epochs.push_back(Scenario::Epoch(slot->sampler));
+      copies.push_back(slot->sampler);
     }
     // Merge the copies lock-free (the threshold-pruned k-way engine via
     // the scenario), then publish.
@@ -649,8 +353,7 @@ class ConcurrentSampler {
     inputs.reserve(copies.size());
     for (const Shard& copy : copies) inputs.push_back(&copy);
     auto next = std::make_shared<SnapshotState>(
-        Scenario::MergeShards(config_, inputs), std::move(epochs),
-        std::move(writer_epochs));
+        Scenario::MergeShards(config_, inputs), std::move(epochs));
     PublishCurrent(next);
     return next;
   }
@@ -681,26 +384,13 @@ class ConcurrentSampler {
     }
   }
 
-  struct TakenBlock {
-    Block* block;
-    size_t writer;
-  };
-
   Config config_;
   std::vector<std::unique_ptr<ShardSlot>> shards_;
   /// Per-shard atomic epochs (the lock-free cache validation); see
-  /// epoch_cache.h. Mutable: a drain triggered from a const Snapshot()
-  /// republishes shard epochs.
-  mutable PublishedEpochs published_;
-  /// Writer-local registration and block-handoff state.
-  mutable internal::WriterLocalRegistry<Block> writers_;
+  /// epoch_cache.h.
+  PublishedEpochs published_;
   /// Serializes snapshot rebuilds (readers only; writers never take it).
   mutable std::mutex rebuild_mu_;
-  /// Serializes drains (a rebuilding reader or an explicit Drain()).
-  mutable std::mutex drain_mu_;
-  /// Drain scratch, guarded by drain_mu_ (reused across drains).
-  mutable std::vector<TakenBlock> drain_taken_;
-  mutable std::vector<const Shard*> drain_minis_;
   /// The lock-free publication pair: the raw current-snapshot pointer
   /// and the reader-in-flight counter (see AcquireSnapshot).
   mutable std::atomic<const SnapshotState*> current_{nullptr};
@@ -732,19 +422,9 @@ struct PriorityScenario {
                            config.seed + kShardSeedStride * shard,
                            config.coordinated);
   }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t writer_salt) {
-    return PrioritySampler(
-        config.k, config.seed + kShardSeedStride * shard + writer_salt,
-        config.coordinated);
-  }
   static uint64_t RouteKey(const Item& item) { return item.key; }
   static size_t Ingest(Shard& shard, std::span<const Item> items) {
     return shard.AddBatch(items);
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.sketch().store().mutation_epoch();
@@ -754,11 +434,9 @@ struct PriorityScenario {
                             std::span<const Shard* const> shards);
 };
 
-/// Scenario: KMV/Theta distinct counting. Every shard -- and every
-/// writer-local mini -- hashes with the SAME salt (coordinated by
-/// construction), so duplicate keys ingested by different writers
-/// collapse at the drain merge (duplicate priorities are duplicate
-/// keys) and the merged union is exactly the single-sketch union.
+/// Scenario: KMV/Theta distinct counting. Every shard hashes with the
+/// SAME salt (coordinated by construction), so the merged union is
+/// exactly the single-sketch union of the concatenated key stream.
 struct KmvScenario {
   struct Config {
     size_t k;
@@ -772,17 +450,9 @@ struct KmvScenario {
     return KmvSketch(config.k, /*initial_threshold=*/1.0,
                      config.hash_salt);
   }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t /*writer_salt*/) {
-    return MakeShard(config, shard);  // hash-coordinated: salt-free
-  }
   static uint64_t RouteKey(uint64_t key) { return key; }
   static size_t Ingest(Shard& shard, std::span<const uint64_t> keys) {
     return shard.AddKeys(keys);
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.store().mutation_epoch();
@@ -793,16 +463,13 @@ struct KmvScenario {
 };
 
 /// Scenario: sliding-window sampling (the ShardedWindowSampler shard
-/// layout). Per SAMPLER, arrival times must be non-decreasing. On the
-/// locked path that means: one routing writer, or several writers
-/// owning disjoint shards (AddShardBatch) each in time order -- two
-/// routed locked writers interleave whole runs per shard and can hand
-/// a shard out-of-order times (tolerated silently; the sample would be
-/// quietly biased). The WRITER-LOCAL path has no such footgun: each
-/// mini sees exactly one writer's arrivals in that writer's own order,
-/// so any number of registered writers is valid as long as each one's
-/// own stream is time-ordered; the drain merge handles cross-writer
-/// time skew the same way the cluster merge does.
+/// layout). Per shard, arrival times must be non-decreasing. That
+/// means: one routing writer, or several writers owning disjoint shards
+/// (AddShardBatch) each in time order -- two routed writers interleave
+/// whole runs per shard and can hand a shard out-of-order times
+/// (tolerated silently; the sample would be quietly biased). Writers
+/// whose streams share shards each keep their own sequential sampler
+/// instead, merged with MergeMany at query time (see the file header).
 struct WindowScenario {
   struct Config {
     size_t k;
@@ -821,12 +488,6 @@ struct WindowScenario {
     return SlidingWindowSampler(config.k, config.window,
                                 config.seed + kShardSeedStride * shard);
   }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t writer_salt) {
-    return SlidingWindowSampler(
-        config.k, config.window,
-        config.seed + kShardSeedStride * shard + writer_salt);
-  }
   static uint64_t RouteKey(const Arrival& arrival) { return arrival.id; }
   static size_t Ingest(Shard& shard, std::span<const Arrival> items) {
     size_t stored = 0;
@@ -834,10 +495,6 @@ struct WindowScenario {
       stored += shard.Arrive(a.time, a.id) ? 1 : 0;
     }
     return stored;
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.mutation_epoch();
@@ -847,13 +504,12 @@ struct WindowScenario {
 };
 
 /// Scenario: time-decayed sampling (the ShardedDecaySampler shard
-/// layout). Per SAMPLER, item times must be non-decreasing -- the same
-/// ingest-pattern contract as WindowScenario, with the same resolution:
-/// writer-local ingest makes any number of registered writers valid
-/// (each mini sees one writer's own time order), while the locked
-/// routed path requires one writer or disjoint shard ownership. (The
-/// keyed scenarios have no such constraint: any number of writers on
-/// either path is always valid for bottom-k and KMV.)
+/// layout). Per shard, item times must be non-decreasing -- the same
+/// ingest-pattern contract as WindowScenario, with the same two
+/// recipes: one routing writer or disjoint shard ownership, or one
+/// sequential sampler per writer merged with MergeMany. (The keyed
+/// scenarios have no such constraint: any number of routed writers is
+/// always valid for bottom-k and KMV.)
 struct DecayScenario {
   struct Config {
     size_t k;
@@ -867,18 +523,9 @@ struct DecayScenario {
     return TimeDecaySampler(config.k,
                             config.seed + kShardSeedStride * shard);
   }
-  static Shard MakeLocalShard(const Config& config, size_t shard,
-                              uint64_t writer_salt) {
-    return TimeDecaySampler(
-        config.k, config.seed + kShardSeedStride * shard + writer_salt);
-  }
   static uint64_t RouteKey(const Item& item) { return item.key; }
   static size_t Ingest(Shard& shard, std::span<const Item> items) {
     return shard.AddBatch(items);
-  }
-  static void AbsorbMany(Shard& into,
-                         std::span<const Shard* const> minis) {
-    into.MergeMany(minis);
   }
   static uint64_t Epoch(const Shard& shard) {
     return shard.mutation_epoch();
@@ -900,14 +547,12 @@ extern template class ConcurrentSampler<internal::DecayScenario>;
 /// Internally thread-safe weighted bottom-k (priority sampling)
 /// front-end: the concurrent counterpart of ShardedSampler, with the
 /// identical shard layout. With coordinated priorities (the default)
-/// the merged snapshot after writers quiesce (and drain, for
-/// writer-local ingest) is EXACTLY the single-store sample of the
-/// concatenated stream -- on both write paths.
+/// the merged snapshot after writers quiesce is EXACTLY the
+/// single-store sample of the concatenated stream.
 class ConcurrentPrioritySampler {
  public:
   using Item = PrioritySampler::Item;
   using MergedSample = ShardedSampler::MergedSample;
-  using Writer = ConcurrentSampler<internal::PriorityScenario>::Writer;
 
   /// num_shards: lock stripes / independent shard samplers. k: sample
   /// capacity of every shard and of the merged sample. `coordinated`
@@ -932,14 +577,6 @@ class ConcurrentPrioritySampler {
   /// must route to `shard` (checked in debug builds).
   size_t AddShardBatch(size_t shard, std::span<const Item> items);
 
-  /// Registers a wait-free writer-local ingest handle (see
-  /// ConcurrentSampler::RegisterWriter). Thread-safe.
-  Writer RegisterWriter();
-
-  /// Deterministically merges all published writer-local mini-stores
-  /// into the shards (see ConcurrentSampler::Drain). Thread-safe.
-  void Drain();
-
   /// Merged sample + threshold from one epoch-consistent snapshot.
   /// Thread-safe; clean-cache calls acquire no lock and never block
   /// writers.
@@ -955,8 +592,7 @@ class ConcurrentPrioritySampler {
   /// and safely shareable across reader threads. Thread-safe.
   std::shared_ptr<const BottomK<Item>> Snapshot() const;
 
-  /// Items retained across shards (per-shard instants; excludes
-  /// undrained writer-local items). Thread-safe.
+  /// Items retained across shards (per-shard instants). Thread-safe.
   size_t TotalRetained() const;
 
   /// Live heap bytes across shards plus the published snapshot, per
@@ -983,11 +619,9 @@ class ConcurrentPrioritySampler {
 /// Internally thread-safe KMV distinct-counting front-end (and, through
 /// KMV's theta duality, the concurrent entry point for Theta-style
 /// distinct unions): shards share one hash salt, so the merged snapshot
-/// is exactly the single-sketch union of the concatenated key stream --
-/// on both write paths (writer-local duplicates collapse at the drain).
+/// is exactly the single-sketch union of the concatenated key stream.
 class ConcurrentKmvSketch {
  public:
-  using Writer = ConcurrentSampler<internal::KmvScenario>::Writer;
 
   ConcurrentKmvSketch(size_t num_shards, size_t k, uint64_t hash_salt = 0);
 
@@ -1004,12 +638,6 @@ class ConcurrentKmvSketch {
   /// Pre-partitioned single-shard ingest. Thread-safe.
   size_t AddShardKeys(size_t shard, std::span<const uint64_t> keys);
 
-  /// Wait-free writer-local ingest handle. Thread-safe.
-  Writer RegisterWriter();
-
-  /// Merges all published writer-local mini-sketches. Thread-safe.
-  void Drain();
-
   /// Unbiased distinct-count estimate from one snapshot. Thread-safe.
   double Estimate() const;
 
@@ -1023,8 +651,8 @@ class ConcurrentKmvSketch {
   /// readers. Thread-safe.
   std::shared_ptr<const KmvSketch> Snapshot() const;
 
-  /// Retained priorities across shards (>= MergedSize; excludes
-  /// undrained writer-local priorities). Thread-safe.
+  /// Retained priorities across shards (>= MergedSize; per-shard
+  /// instants). Thread-safe.
   size_t TotalRetained() const;
 
   /// Live heap bytes across shards plus the published snapshot, per
@@ -1049,22 +677,18 @@ class ConcurrentKmvSketch {
 
 /// Internally thread-safe sliding-window front-end: the concurrent
 /// counterpart of ShardedWindowSampler (identical shard layout, seeds,
-/// and merge). Arrival times must be non-decreasing PER SAMPLER. On
-/// the locked path that leaves two safe ingest patterns: a SINGLE
-/// thread driving the routed Arrive/AddBatch, or several writers
-/// owning DISJOINT shards via AddShardBatch (each feeding its shards
-/// in time order). The writer-local path (RegisterWriter) lifts the
-/// restriction: each registered writer's mini-samplers see only that
-/// writer's arrivals in its own order, so any number of concurrent
-/// registered writers is valid provided each one's own stream is
-/// time-ordered. Queries evaluate one epoch-consistent snapshot at
+/// and merge). Arrival times must be non-decreasing PER SHARD. That
+/// leaves two safe ingest patterns: a SINGLE thread driving the routed
+/// Arrive/AddBatch, or several writers owning DISJOINT shards via
+/// AddShardBatch (each feeding its shards in time order). Writers whose
+/// streams share shards each keep their own sequential
+/// SlidingWindowSampler and combine them with MergeMany. Queries evaluate one epoch-consistent snapshot at
 /// `now` on a private O(k) copy (window queries advance expiry, so the
 /// shared snapshot itself is never mutated); `now` should be >= the
 /// times already ingested, as with the sequential sampler.
 class ConcurrentWindowSampler {
  public:
   using Arrival = internal::WindowScenario::Arrival;
-  using Writer = ConcurrentSampler<internal::WindowScenario>::Writer;
 
   ConcurrentWindowSampler(size_t num_shards, size_t k, double window,
                           uint64_t seed = 1);
@@ -1081,13 +705,6 @@ class ConcurrentWindowSampler {
 
   /// Pre-partitioned single-shard ingest. Thread-safe.
   size_t AddShardBatch(size_t shard, std::span<const Arrival> arrivals);
-
-  /// Wait-free writer-local ingest handle; the writer's own arrivals
-  /// must be time-ordered. Thread-safe.
-  Writer RegisterWriter();
-
-  /// Merges all published writer-local mini-samplers. Thread-safe.
-  void Drain();
 
   /// Improved final threshold of the merged windowed sample at `now`.
   /// Thread-safe.
@@ -1132,14 +749,13 @@ class ConcurrentWindowSampler {
 
 /// Internally thread-safe time-decay front-end: the concurrent
 /// counterpart of ShardedDecaySampler (identical shard layout, seeds,
-/// and merge). Per sampler, item times must be non-decreasing -- the
-/// same ingest-pattern contract as ConcurrentWindowSampler, with the
-/// same writer-local resolution: registered writers each feed their own
-/// time-ordered stream, in any number, concurrently.
+/// and merge). Per shard, item times must be non-decreasing -- the same
+/// ingest-pattern contract as ConcurrentWindowSampler, with the same
+/// two recipes (disjoint shard ownership via AddShardBatch, or one
+/// sequential TimeDecaySampler per writer merged with MergeMany).
 class ConcurrentDecaySampler {
  public:
   using TimedItem = TimeDecaySampler::TimedItem;
-  using Writer = ConcurrentSampler<internal::DecayScenario>::Writer;
 
   ConcurrentDecaySampler(size_t num_shards, size_t k, uint64_t seed = 1);
 
@@ -1155,13 +771,6 @@ class ConcurrentDecaySampler {
 
   /// Pre-partitioned single-shard ingest. Thread-safe.
   size_t AddShardBatch(size_t shard, std::span<const TimedItem> items);
-
-  /// Wait-free writer-local ingest handle; the writer's own items must
-  /// be time-ordered. Thread-safe.
-  Writer RegisterWriter();
-
-  /// Merges all published writer-local mini-samplers. Thread-safe.
-  void Drain();
 
   /// Merged adaptive threshold on the log-key scale, from one snapshot.
   /// Thread-safe.
@@ -1179,8 +788,7 @@ class ConcurrentDecaySampler {
   /// queryable across threads. Thread-safe.
   std::shared_ptr<const TimeDecaySampler> Snapshot() const;
 
-  /// Items retained across shards (per-shard instants; excludes
-  /// undrained writer-local items). Thread-safe.
+  /// Items retained across shards (per-shard instants). Thread-safe.
   size_t TotalRetained() const;
 
   /// Live heap bytes across shards plus the published snapshot, per

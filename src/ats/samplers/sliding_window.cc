@@ -86,15 +86,30 @@ bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
   // set is the column region past the dead prefix.
   double m1 = 0.0, m2 = 0.0;
   {
+    // Top two over kLanes interleaved lanes, branch-free, then folded:
+    // max/min are exact, so the pair equals the sequential scan's. This
+    // is the per-arrival hot loop at a full sample; the branchy
+    // one-lane scan ran ~10% faster or slower end to end depending only
+    // on where the linker happened to place it.
+    constexpr size_t kLanes = 4;
     const auto& priorities = current_.priorities();
-    for (size_t i = dead_prefix_; i < priorities.size(); ++i) {
-      const double p = priorities[i];
-      if (p > m1) {
-        m2 = m1;
-        m1 = p;
-      } else if (p > m2) {
-        m2 = p;
+    double l1[kLanes] = {}, l2[kLanes] = {};
+    size_t i = dead_prefix_;
+    for (; i + kLanes <= priorities.size(); i += kLanes) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        const double p = priorities[i + l];
+        l2[l] = std::max(l2[l], std::min(l1[l], p));
+        l1[l] = std::max(l1[l], p);
       }
+    }
+    const auto fold = [&m1, &m2](double p) {
+      m2 = std::max(m2, std::min(m1, p));
+      m1 = std::max(m1, p);
+    };
+    for (; i < priorities.size(); ++i) fold(priorities[i]);
+    for (size_t l = 0; l < kLanes; ++l) {
+      fold(l1[l]);
+      fold(l2[l]);
     }
   }
   const double initial_threshold =

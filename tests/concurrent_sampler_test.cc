@@ -448,254 +448,6 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
                    dref.EstimateDecayedTotal(final_now));
 }
 
-// --- Wait-free writer-local ingest -------------------------------------
-
-TEST(ConcurrentPrioritySampler, WriterLocalIngestMatchesSingleStoreExactly) {
-  // Registered writers ingest through private mini-stores while a
-  // drainer races them (forcing mid-stream drains, block recycling, and
-  // generation resets). Coordinated priorities: the quiesced drained
-  // snapshot must equal the single store EXACTLY, like the locked path.
-  const size_t k = 100;
-  const auto stream = MakeStream(20000, 51);
-
-  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  for (const auto& item : stream) single.Add(item.key, item.weight);
-
-  for (size_t writers : {1u, 2u, 4u, 8u}) {
-    ConcurrentPrioritySampler conc(/*num_shards=*/8, k);
-    const auto slices = SliceStream(stream, writers);
-    std::atomic<bool> done{false};
-    std::thread drainer([&] {
-      while (!done.load(std::memory_order_relaxed)) conc.Drain();
-    });
-    std::vector<std::thread> threads;
-    threads.reserve(writers);
-    for (size_t w = 0; w < writers; ++w) {
-      threads.emplace_back([&conc, &slices, w] {
-        auto writer = conc.RegisterWriter();
-        // Chunked batches: the block cycles through the mailbox many
-        // times per writer, racing the drainer's exchanges.
-        const auto& slice = slices[w];
-        const size_t chunk = 257;
-        for (size_t i = 0; i < slice.size(); i += chunk) {
-          const size_t len = std::min(chunk, slice.size() - i);
-          writer.AddBatch(std::span<const Item>(slice.data() + i, len));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    done.store(true, std::memory_order_relaxed);
-    drainer.join();
-
-    const auto merged = conc.Merged();
-    EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold())
-        << "writers=" << writers;
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
-        << "writers=" << writers;
-  }
-}
-
-TEST(ConcurrentPrioritySampler,
-     WriterLocalBarrierSnapshotsMatchSingleStorePrefixes) {
-  // The writer-local counterpart of the barrier-schedule test: at every
-  // epoch boundary (all writers' round published, reader snapshots) the
-  // reader-triggered drain must produce exactly the single-store sample
-  // of the rounds ingested so far -- every round crosses a writer-drain
-  // boundary with mini-stores mid-lifecycle.
-  const size_t k = 64;
-  const size_t writers = 4;
-  const size_t rounds = 5;
-  const size_t chunk = 500;
-  const auto stream = MakeStream(writers * rounds * chunk, 61);
-
-  std::vector<std::vector<std::span<const Item>>> chunk_of(writers);
-  for (size_t w = 0; w < writers; ++w) {
-    for (size_t r = 0; r < rounds; ++r) {
-      const size_t begin = (r * writers + w) * chunk;
-      chunk_of[w].push_back(
-          std::span<const Item>(stream.data() + begin, chunk));
-    }
-  }
-
-  ConcurrentPrioritySampler conc(/*num_shards=*/4, k);
-  std::barrier sync(static_cast<std::ptrdiff_t>(writers + 1));
-  std::vector<std::thread> threads;
-  threads.reserve(writers);
-  for (size_t w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      auto writer = conc.RegisterWriter();
-      for (size_t r = 0; r < rounds; ++r) {
-        writer.AddBatch(chunk_of[w][r]);
-        sync.arrive_and_wait();  // round published
-        sync.arrive_and_wait();  // reader finished checking
-      }
-    });
-  }
-
-  PrioritySampler reference(k, /*seed=*/1, /*coordinated=*/true);
-  for (size_t r = 0; r < rounds; ++r) {
-    sync.arrive_and_wait();
-    for (size_t w = 0; w < writers; ++w) {
-      for (const Item& item : chunk_of[w][r]) {
-        reference.Add(item.key, item.weight);
-      }
-    }
-    const auto merged = conc.Merged();  // dirty: drains, rebuilds
-    EXPECT_DOUBLE_EQ(merged.threshold, reference.Threshold())
-        << "round " << r;
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(reference.Sample()))
-        << "round " << r;
-    sync.arrive_and_wait();
-  }
-  for (auto& t : threads) t.join();
-}
-
-TEST(ConcurrentPrioritySampler, RetiredWriterWithPendingItemsIsDrained) {
-  // A writer that goes away (handle destroyed) with published but
-  // undrained mini-stores must not lose items: the next drain --
-  // triggered here only by a reader finding the cache dirty -- picks
-  // its mailbox up.
-  const size_t k = 64;
-  const auto stream = MakeStream(8000, 71);
-  ConcurrentPrioritySampler conc(/*num_shards=*/4, k);
-  {
-    auto writer = conc.RegisterWriter();
-    writer.AddBatch(stream);
-  }  // retired with everything still in the mailbox
-
-  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  for (const auto& item : stream) single.Add(item.key, item.weight);
-
-  const auto merged = conc.Merged();
-  EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold());
-  EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()));
-
-  // And an explicit Drain() brings TotalRetained up to date the same
-  // way (nothing left in any mailbox afterwards).
-  conc.Drain();
-  EXPECT_GE(conc.TotalRetained(), merged.entries.size());
-}
-
-TEST(ConcurrentKmvSketch, WriterLocalDuplicatesAcrossWritersCollapseExactly) {
-  // Writers ingest overlapping key sets into private mini-sketches;
-  // coordinated hashing makes cross-mini duplicates identical
-  // priorities, which the drain's MergeMany treats as duplicate keys.
-  // The quiesced union must equal the single sketch EXACTLY.
-  const size_t k = 64;
-  const uint64_t salt = 7;
-  std::vector<uint64_t> keys(30000);
-  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i % 9000;
-
-  KmvSketch single(k, 1.0, salt);
-  single.AddKeys(keys);
-
-  const size_t writers = 4;
-  ConcurrentKmvSketch conc(/*num_shards=*/8, k, salt);
-  std::vector<std::vector<uint64_t>> slices(writers);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    slices[i % writers].push_back(keys[i]);
-  }
-  std::vector<std::thread> threads;
-  for (size_t w = 0; w < writers; ++w) {
-    threads.emplace_back([&conc, &slices, w] {
-      auto writer = conc.RegisterWriter();
-      const auto& slice = slices[w];
-      const size_t chunk = 999;
-      for (size_t i = 0; i < slice.size(); i += chunk) {
-        const size_t len = std::min(chunk, slice.size() - i);
-        writer.AddBatch(std::span<const uint64_t>(slice.data() + i, len));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_DOUBLE_EQ(conc.Threshold(), single.Threshold());
-  EXPECT_DOUBLE_EQ(conc.Estimate(), single.Estimate());
-  EXPECT_EQ(conc.MergedSize(), single.size());
-}
-
-TEST(ConcurrentTimeAxis, WriterLocalSingleWriterMatchesShardedReference) {
-  // One registered writer, no mid-stream drain: generation 0 of writer
-  // 0 seeds its minis exactly like the authoritative shards
-  // (WriterLocalSalt(0, 0) == 0), so even the RNG-drawing time-axis
-  // scenarios must be bit-identical to the sequential sharded
-  // references after the final drain.
-  const size_t S = 8;
-  const size_t k = 100;
-  const double window = 1.0;
-  const uint64_t seed = 5;
-  const size_t n = 20000;
-
-  ShardedWindowSampler wref(S, k, window, seed);
-  ShardedDecaySampler dref(S, k, seed);
-  ConcurrentWindowSampler wconc(S, k, window, seed);
-  ConcurrentDecaySampler dconc(S, k, seed);
-
-  auto wwriter = wconc.RegisterWriter();
-  auto dwriter = dconc.RegisterWriter();
-  Xoshiro256 rng(83);
-  for (size_t i = 0; i < n; ++i) {
-    const double time = 3.0 * static_cast<double>(i) / double(n);
-    wref.Arrive(time, i);
-    wwriter.Add({time, i});
-    const double weight = std::exp(0.4 * rng.NextGaussian());
-    dref.Add(i, weight, weight, time);
-    dwriter.Add({i, weight, weight, time});
-  }
-
-  for (double now : {3.0, 3.4}) {
-    EXPECT_DOUBLE_EQ(wconc.ImprovedThreshold(now), wref.ImprovedThreshold(now))
-        << "now=" << now;
-    EXPECT_EQ(SortedSample(wconc.ImprovedSample(now)),
-              SortedSample(wref.ImprovedSample(now)))
-        << "now=" << now;
-  }
-  const double now = 5.0;
-  EXPECT_DOUBLE_EQ(dconc.LogKeyThreshold(), dref.LogKeyThreshold());
-  EXPECT_DOUBLE_EQ(dconc.EstimateDecayedTotal(now),
-                   dref.EstimateDecayedTotal(now));
-}
-
-TEST(ConcurrentTimeAxis, WriterLocalMultiWriterWindowIsValid) {
-  // Multiple ROUTED window writers are unsound on the locked path (run
-  // interleaving can hand a shard out-of-order times) but sound on the
-  // writer-local path: each mini sees one writer's own time order.
-  // Readers race the writers; every snapshot obeys the invariants.
-  const size_t S = 4;
-  const size_t k = 50;
-  const size_t writers = 4;
-  const size_t n = 12000;
-  ConcurrentWindowSampler conc(S, k, /*window=*/1.0, /*seed=*/3);
-
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      const auto sample = conc.ImprovedSample(3.5);
-      ASSERT_LE(sample.size(), k);
-    }
-  });
-  std::vector<std::thread> threads;
-  for (size_t w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      auto writer = conc.RegisterWriter();
-      // Writer w's own arrivals are time-ordered; across writers the
-      // streams interleave arbitrarily.
-      for (size_t i = w; i < n; i += writers) {
-        const double time = 3.0 * static_cast<double>(i) / double(n);
-        writer.Add({time, i});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  done.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  conc.Drain();
-  const auto sample = conc.ImprovedSample(3.5);
-  EXPECT_LE(sample.size(), k);
-  EXPECT_GT(conc.MergedStoredCount(3.5), 0u);
-}
-
 // --- The lock-free clean-read probe ------------------------------------
 
 TEST(ConcurrentPrioritySampler, CleanSnapshotAcquiresNoLockAndIsLockFree) {
@@ -718,11 +470,9 @@ TEST(ConcurrentPrioritySampler, CleanSnapshotAcquiresNoLockAndIsLockFree) {
   }
   EXPECT_EQ(conc.LockAcquisitionsForTest(), locks_before);
 
-  // Writer-local dirtiness is part of the clean-read validation: a
-  // registered writer's publication must invalidate without the reader
-  // having held any lock beforehand.
-  auto writer = conc.RegisterWriter();
-  writer.Add(Item{999999, 1e9});
+  // A locked write that changes a shard publishes its epoch, and the
+  // clean-read validation must see it: the next snapshot is a rebuild.
+  conc.Add(999999, 1e9);
   EXPECT_NE(conc.Snapshot().get(), first.get());
 }
 
@@ -785,29 +535,6 @@ TEST(ConcurrentPrioritySampler, RoutedBatchSteadyStateDoesNotAllocate) {
   conc.AddBatch(rejected);  // warm the scratch for this exact batch
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 50; ++i) conc.AddBatch(rejected);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
-}
-
-TEST(ConcurrentPrioritySampler, WriterLocalSteadyStateDoesNotAllocate) {
-  if (!kAllocCountingEnabled) {
-    GTEST_SKIP() << "allocator owned by a sanitizer";
-  }
-  // Without a concurrent drain stealing the block, writer-local ingest
-  // recycles its block through the mailbox: after warmup (block
-  // allocated, minis saturated, scratch grown), rejected batches are
-  // allocation-free end to end.
-  ConcurrentPrioritySampler conc(/*num_shards=*/8, /*k=*/32);
-  auto writer = conc.RegisterWriter();
-  const auto stream = MakeStream(20000, 111);
-  writer.AddBatch(stream);
-
-  std::vector<Item> rejected(512);
-  for (size_t i = 0; i < rejected.size(); ++i) {
-    rejected[i] = Item{500000 + i, 1e-12};
-  }
-  writer.AddBatch(rejected);  // warm
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 50; ++i) writer.AddBatch(rejected);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
 

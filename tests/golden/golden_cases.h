@@ -1,6 +1,7 @@
-// The golden wire corpus: one frame per frame magic, one CKP1 file and
-// one ENV1 envelope, each built from fixed seeds through the public
-// writers. tools/make_golden_corpus.cc writes these bytes to disk;
+// The golden wire corpus: one frame per frame magic, one CKP1 file per
+// checkpoint scheme kind, and one ENV1 envelope per envelope kind, each
+// built from fixed seeds through the public writers.
+// tools/make_golden_corpus.cc writes these bytes to disk;
 // tests/golden_corpus_test.cc compares them with the committed files
 // under tests/golden/v<N>/.
 //
@@ -11,6 +12,7 @@
 #define ATS_TESTS_GOLDEN_GOLDEN_CASES_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,6 +46,8 @@ inline constexpr uint64_t kEnvelopeSender = 7;
 inline constexpr uint64_t kEnvelopeIncarnation = 2;
 inline constexpr uint64_t kEnvelopeSeq = 42;
 inline constexpr uint64_t kEnvelopeEpoch = 99;
+// The aggregator that acknowledges the data envelope above.
+inline constexpr uint64_t kAckSender = 1;
 
 inline uint64_t Key(size_t i) {
   return 1'000'000 + static_cast<uint64_t>(i);
@@ -158,19 +162,6 @@ inline std::string BuildBudget() {
   return s.SerializeToString();
 }
 
-// A CKP1 file wrapping the PSM2 fixture frame.
-inline std::string BuildCheckpoint() {
-  return persist::EncodeCheckpoint(persist::SchemeKind::kPriority,
-                                   kCheckpointEpoch, BuildPriority());
-}
-
-// An ENV1 data envelope carrying the KMV2 fixture frame.
-inline std::string BuildEnvelope() {
-  return cluster::EncodeEnvelope(cluster::EnvelopeKind::kData,
-                                 kEnvelopeSender, kEnvelopeIncarnation,
-                                 kEnvelopeSeq, kEnvelopeEpoch, BuildKmv());
-}
-
 // Whole-buffer Deserialize followed by SerializeToString: the family's
 // canonical re-encoding of `frame`, or nullopt when it does not parse.
 template <typename Sketch>
@@ -205,7 +196,71 @@ inline const std::vector<FrameCase>& FrameCases() {
   return cases;
 }
 
-// Every file of one corpus version: the frames, then CKP1 and ENV1.
+inline const FrameCase& FindFrameCase(std::string_view magic) {
+  for (const FrameCase& c : FrameCases()) {
+    if (magic == c.magic) return c;
+  }
+  std::abort();  // a CheckpointCase names a frame with no fixture
+}
+
+// One CKP1 file per scheme kind, wrapping that family's frame fixture
+// at kCheckpointEpoch, in the order of the CKP1 kind table.
+struct CheckpointCase {
+  persist::SchemeKind kind;
+  const char* frame;  // magic of the wrapped FrameCase
+  const char* file;   // the file name under tests/golden/v<N>/
+};
+
+// CKP1.bin (kind 9) came first; every other kind is CKP1-<frame>.bin.
+inline const std::vector<CheckpointCase>& CheckpointCases() {
+  using persist::SchemeKind;
+  static const std::vector<CheckpointCase> cases = {
+      {SchemeKind::kKmv, "KMV2", "CKP1-KMV2.bin"},
+      {SchemeKind::kBottomK, "BTK2", "CKP1-BTK2.bin"},
+      {SchemeKind::kSlidingWindow, "SWN1", "CKP1-SWN1.bin"},
+      {SchemeKind::kTimeDecay, "TDK1", "CKP1-TDK1.bin"},
+      {SchemeKind::kMultiStratified, "MSS1", "CKP1-MSS1.bin"},
+      {SchemeKind::kVarianceSized, "VSZ1", "CKP1-VSZ1.bin"},
+      {SchemeKind::kMultiObjective, "MOB1", "CKP1-MOB1.bin"},
+      {SchemeKind::kBudget, "BGT1", "CKP1-BGT1.bin"},
+      {SchemeKind::kPriority, "PSM2", "CKP1.bin"},
+      {SchemeKind::kTheta, "THT2", "CKP1-THT2.bin"},
+      {SchemeKind::kGroupDistinct, "GDS2", "CKP1-GDS2.bin"},
+  };
+  return cases;
+}
+
+inline std::string BuildCheckpoint(const CheckpointCase& c) {
+  return persist::EncodeCheckpoint(c.kind, kCheckpointEpoch,
+                                   FindFrameCase(c.frame).build());
+}
+
+// One ENV1 file per envelope kind, all naming the same (incarnation,
+// seq, epoch): a data envelope from the node carrying the KMV2 fixture,
+// and the aggregator's ack for it, which carries nothing.
+struct EnvelopeCase {
+  cluster::EnvelopeKind kind;
+  uint64_t sender;
+  const char* payload;  // magic of the carried FrameCase; null for none
+  const char* file;
+};
+
+inline const std::vector<EnvelopeCase>& EnvelopeCases() {
+  static const std::vector<EnvelopeCase> cases = {
+      {cluster::EnvelopeKind::kData, kEnvelopeSender, "KMV2", "ENV1.bin"},
+      {cluster::EnvelopeKind::kAck, kAckSender, nullptr, "ENV1-ack.bin"},
+  };
+  return cases;
+}
+
+inline std::string BuildEnvelope(const EnvelopeCase& c) {
+  return cluster::EncodeEnvelope(
+      c.kind, c.sender, kEnvelopeIncarnation, kEnvelopeSeq, kEnvelopeEpoch,
+      c.payload == nullptr ? std::string() : FindFrameCase(c.payload).build());
+}
+
+// Every file of one corpus version: the frames, the CKP1 files, then
+// the ENV1 envelopes.
 struct CorpusFile {
   std::string name;
   std::string bytes;
@@ -216,8 +271,12 @@ inline std::vector<CorpusFile> BuildCorpus() {
   for (const FrameCase& c : FrameCases()) {
     files.push_back({std::string(c.magic) + ".bin", c.build()});
   }
-  files.push_back({"CKP1.bin", BuildCheckpoint()});
-  files.push_back({"ENV1.bin", BuildEnvelope()});
+  for (const CheckpointCase& c : CheckpointCases()) {
+    files.push_back({c.file, BuildCheckpoint(c)});
+  }
+  for (const EnvelopeCase& c : EnvelopeCases()) {
+    files.push_back({c.file, BuildEnvelope(c)});
+  }
   return files;
 }
 

@@ -2,8 +2,9 @@
 // held to, so a change that moves any encoding fails here even when
 // every round trip still agrees with itself.
 //
-// tests/golden/v2/ holds one frame per frame magic, one CKP1 file and
-// one ENV1 envelope, built from fixed seeds (golden/golden_cases.h).
+// tests/golden/v2/ holds one frame per frame magic, one CKP1 file per
+// checkpoint scheme kind and one ENV1 envelope per envelope kind, built
+// from fixed seeds (golden/golden_cases.h).
 // tests/golden/v1/ holds the same set as the version-1 writers produced
 // it: identical bodies under version-1 headers with FNV-1a trailers.
 //   * Today's writers reproduce every v2 file byte for byte, and every
@@ -113,21 +114,29 @@ TEST(GoldenCorpus, V1FrameTwinsDifferOnlyInHeaderVersions) {
   }
 }
 
-// CKP1 and ENV1 twins wrap the PSM2 and KMV2 fixtures of their own
-// version behind otherwise identical headers.
+// CKP1 and ENV1 twins wrap the frame fixtures of their own version (an
+// ack wraps nothing) behind otherwise identical headers.
 TEST(GoldenCorpus, V1WrapperTwinsWrapTheV1Frames) {
   struct Wrapper {
-    const char* name;
+    std::string name;
     size_t header_size;
-    const char* payload;
+    const char* payload;  // magic of the wrapped fixture; null for none
   };
-  for (const Wrapper& w :
-       {Wrapper{"CKP1.bin", persist::kCheckpointHeaderSize, "PSM2.bin"},
-        Wrapper{"ENV1.bin", cluster::kEnvelopeHeaderSize, "KMV2.bin"}}) {
+  std::vector<Wrapper> wrappers;
+  for (const golden::CheckpointCase& c : golden::CheckpointCases()) {
+    wrappers.push_back({c.file, persist::kCheckpointHeaderSize, c.frame});
+  }
+  for (const golden::EnvelopeCase& c : golden::EnvelopeCases()) {
+    wrappers.push_back({c.file, cluster::kEnvelopeHeaderSize, c.payload});
+  }
+  for (const Wrapper& w : wrappers) {
     SCOPED_TRACE(w.name);
     for (const int version : {1, 2}) {
       const std::string bytes = ReadGolden(version, w.name);
-      const std::string payload = ReadGolden(version, w.payload);
+      const std::string payload =
+          w.payload == nullptr
+              ? std::string()
+              : ReadGolden(version, std::string(w.payload) + ".bin");
       ASSERT_EQ(bytes.size(), w.header_size + payload.size() + 4);
       EXPECT_EQ(U32At(bytes, 4), static_cast<uint32_t>(version));
       EXPECT_EQ(bytes.substr(w.header_size, payload.size()), payload);
@@ -203,30 +212,64 @@ TEST(GoldenCorpus, V1FramesFeedTheZeroCopyViews) {
   EXPECT_EQ(view->threshold(), eager->Threshold());
 }
 
+// Every kind's v1 file opens, through both open paths, to its v2 twin's
+// kind, epoch and payload state, and the decoded v2 fields re-encode to
+// the v2 file byte for byte.
 TEST(GoldenCorpus, V1CheckpointOpensToItsV2Twin) {
-  const std::string v1 = ReadGolden(1, "CKP1.bin");
-  const std::string v2 = ReadGolden(2, "CKP1.bin");
-  persist::CheckpointInfo old_info, new_info;
-  ASSERT_EQ(persist::DecodeCheckpoint(v1, &old_info),
-            persist::CheckpointFault::kNone);
-  ASSERT_EQ(persist::DecodeCheckpoint(v2, &new_info),
-            persist::CheckpointFault::kNone);
-  EXPECT_EQ(old_info.kind, persist::SchemeKind::kPriority);
-  EXPECT_EQ(old_info.kind, new_info.kind);
-  EXPECT_EQ(old_info.epoch, golden::kCheckpointEpoch);
-  EXPECT_EQ(old_info.epoch, new_info.epoch);
-  EXPECT_EQ(golden::Reserialize<PrioritySampler>(old_info.payload),
-            std::string(new_info.payload));
-  EXPECT_EQ(persist::EncodeCheckpoint(new_info.kind, new_info.epoch,
-                                      new_info.payload),
-            v2);
-
-  // Both open paths restore the v1 file to the v2 file's sampler.
   const std::string path = ::testing::TempDir() + "ats_golden_v1.ckp";
+  for (const golden::CheckpointCase& c : golden::CheckpointCases()) {
+    SCOPED_TRACE(c.file);
+    const auto& frame = golden::FindFrameCase(c.frame);
+    const std::string v1 = ReadGolden(1, c.file);
+    const std::string v2 = ReadGolden(2, c.file);
+    persist::CheckpointInfo old_info, new_info;
+    ASSERT_EQ(persist::DecodeCheckpoint(v1, &old_info),
+              persist::CheckpointFault::kNone);
+    ASSERT_EQ(persist::DecodeCheckpoint(v2, &new_info),
+              persist::CheckpointFault::kNone);
+    EXPECT_EQ(old_info.kind, c.kind);
+    EXPECT_EQ(old_info.kind, new_info.kind);
+    EXPECT_EQ(old_info.epoch, golden::kCheckpointEpoch);
+    EXPECT_EQ(old_info.epoch, new_info.epoch);
+    EXPECT_EQ(frame.reserialize(old_info.payload),
+              std::string(new_info.payload));
+    EXPECT_EQ(persist::EncodeCheckpoint(new_info.kind, new_info.epoch,
+                                        new_info.payload),
+              v2);
+
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+    }
+    for (const persist::OpenMode mode :
+         {persist::OpenMode::kPreferMmap, persist::OpenMode::kBuffered}) {
+      persist::CheckpointReader reader;
+      ASSERT_EQ(persist::CheckpointReader::Open(path, &reader, mode),
+                persist::CheckpointFault::kNone);
+      EXPECT_EQ(reader.kind(), c.kind);
+      EXPECT_EQ(reader.epoch(), golden::kCheckpointEpoch);
+      EXPECT_EQ(frame.reserialize(reader.payload()),
+                std::string(new_info.payload));
+    }
+
+    EXPECT_EQ(
+        persist::DecodeCheckpoint(FlipByte(v1, v1.size() / 2), nullptr),
+        persist::CheckpointFault::kCorruptBody);
+    EXPECT_EQ(persist::DecodeCheckpoint(WithVersion(v1, 2), nullptr),
+              persist::CheckpointFault::kCorruptBody);
+  }
+
+  // The typed restore of the kind-9 file, through both open paths,
+  // yields the v2 file's sampler and estimates.
+  const std::string v1 = ReadGolden(1, "CKP1.bin");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
   }
+  persist::CheckpointInfo new_info;
+  const std::string v2 = ReadGolden(2, "CKP1.bin");
+  ASSERT_EQ(persist::DecodeCheckpoint(v2, &new_info),
+            persist::CheckpointFault::kNone);
   const auto expected = PrioritySampler::Deserialize(new_info.payload);
   ASSERT_TRUE(expected.has_value());
   for (const persist::OpenMode mode :
@@ -243,41 +286,47 @@ TEST(GoldenCorpus, V1CheckpointOpensToItsV2Twin) {
               EstimateTotal(expected->Sample()).estimate);
   }
   std::remove(path.c_str());
-
-  EXPECT_EQ(persist::DecodeCheckpoint(FlipByte(v1, v1.size() / 2), nullptr),
-            persist::CheckpointFault::kCorruptBody);
-  EXPECT_EQ(persist::DecodeCheckpoint(WithVersion(v1, 2), nullptr),
-            persist::CheckpointFault::kCorruptBody);
 }
 
+// Every envelope kind's v1 file decodes to its v2 twin's header and
+// payload state, and the decoded v2 fields re-encode to the v2 file.
 TEST(GoldenCorpus, V1EnvelopeOpensToItsV2Twin) {
-  const std::string v1 = ReadGolden(1, "ENV1.bin");
-  const std::string v2 = ReadGolden(2, "ENV1.bin");
-  cluster::EnvelopeView old_view, new_view;
-  ASSERT_EQ(cluster::DecodeEnvelope(v1, &old_view), FrameFault::kNone);
-  ASSERT_EQ(cluster::DecodeEnvelope(v2, &new_view), FrameFault::kNone);
-  EXPECT_EQ(old_view.kind, cluster::EnvelopeKind::kData);
-  EXPECT_EQ(old_view.sender, golden::kEnvelopeSender);
-  EXPECT_EQ(old_view.incarnation, golden::kEnvelopeIncarnation);
-  EXPECT_EQ(old_view.seq, golden::kEnvelopeSeq);
-  EXPECT_EQ(old_view.epoch, golden::kEnvelopeEpoch);
-  EXPECT_EQ(old_view.kind, new_view.kind);
-  EXPECT_EQ(old_view.sender, new_view.sender);
-  EXPECT_EQ(old_view.incarnation, new_view.incarnation);
-  EXPECT_EQ(old_view.seq, new_view.seq);
-  EXPECT_EQ(old_view.epoch, new_view.epoch);
-  EXPECT_EQ(golden::Reserialize<KmvSketch>(old_view.payload),
-            std::string(new_view.payload));
-  EXPECT_EQ(cluster::EncodeEnvelope(new_view.kind, new_view.sender,
-                                    new_view.incarnation, new_view.seq,
-                                    new_view.epoch, new_view.payload),
-            v2);
+  for (const golden::EnvelopeCase& c : golden::EnvelopeCases()) {
+    SCOPED_TRACE(c.file);
+    const std::string v1 = ReadGolden(1, c.file);
+    const std::string v2 = ReadGolden(2, c.file);
+    cluster::EnvelopeView old_view, new_view;
+    ASSERT_EQ(cluster::DecodeEnvelope(v1, &old_view), FrameFault::kNone);
+    ASSERT_EQ(cluster::DecodeEnvelope(v2, &new_view), FrameFault::kNone);
+    EXPECT_EQ(old_view.kind, c.kind);
+    EXPECT_EQ(old_view.sender, c.sender);
+    EXPECT_EQ(old_view.incarnation, golden::kEnvelopeIncarnation);
+    EXPECT_EQ(old_view.seq, golden::kEnvelopeSeq);
+    EXPECT_EQ(old_view.epoch, golden::kEnvelopeEpoch);
+    EXPECT_EQ(old_view.kind, new_view.kind);
+    EXPECT_EQ(old_view.sender, new_view.sender);
+    EXPECT_EQ(old_view.incarnation, new_view.incarnation);
+    EXPECT_EQ(old_view.seq, new_view.seq);
+    EXPECT_EQ(old_view.epoch, new_view.epoch);
+    if (c.payload == nullptr) {
+      EXPECT_TRUE(old_view.payload.empty());
+      EXPECT_TRUE(new_view.payload.empty());
+    } else {
+      EXPECT_EQ(golden::FindFrameCase(c.payload).reserialize(
+                    old_view.payload),
+                std::string(new_view.payload));
+    }
+    EXPECT_EQ(cluster::EncodeEnvelope(new_view.kind, new_view.sender,
+                                      new_view.incarnation, new_view.seq,
+                                      new_view.epoch, new_view.payload),
+              v2);
 
-  cluster::EnvelopeView unused;
-  EXPECT_EQ(cluster::DecodeEnvelope(FlipByte(v1, v1.size() / 2), &unused),
-            FrameFault::kCorruptBody);
-  EXPECT_EQ(cluster::DecodeEnvelope(WithVersion(v1, 2), &unused),
-            FrameFault::kCorruptBody);
+    cluster::EnvelopeView unused;
+    EXPECT_EQ(cluster::DecodeEnvelope(FlipByte(v1, v1.size() / 2), &unused),
+              FrameFault::kCorruptBody);
+    EXPECT_EQ(cluster::DecodeEnvelope(WithVersion(v1, 2), &unused),
+              FrameFault::kCorruptBody);
+  }
 }
 
 }  // namespace

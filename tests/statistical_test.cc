@@ -113,43 +113,6 @@ TEST(StatisticalInclusion, ConcurrentMergedSampleFrequenciesAreUniform) {
             ChiSquareCritical999(static_cast<int>(n) - 1));
 }
 
-TEST(StatisticalInclusion, WriterLocalSampleFrequenciesAreUniform) {
-  // The wait-free writer-local path in independent-priority mode: two
-  // registered writers ingest through private mini-stores whose RNG
-  // streams are salted per (writer, generation), with a mid-stream
-  // Drain() forcing a generation reset -- so three distinct salted
-  // streams contribute to every replicate. The drained merge must still
-  // be a uniform k-subset; a salt collision or a replayed RNG stream
-  // would correlate inclusions and blow up the chi-square.
-  const size_t n = 32;
-  const size_t k = 8;
-  const int replicates = 2000;
-  std::vector<int64_t> counts(n, 0);
-  std::vector<PrioritySampler::Item> stream(n);
-  for (uint64_t key = 0; key < n; ++key) stream[key] = {key, 1.0};
-  for (int t = 0; t < replicates; ++t) {
-    ConcurrentPrioritySampler conc(/*num_shards=*/4, k,
-                                   /*coordinated=*/false,
-                                   kSeedBase + static_cast<uint64_t>(t));
-    auto a = conc.RegisterWriter();
-    auto b = conc.RegisterWriter();
-    a.AddBatch(std::span<const PrioritySampler::Item>(stream.data(), n / 2));
-    conc.Drain();  // writer a's next batch gets a fresh generation salt
-    a.AddBatch(std::span<const PrioritySampler::Item>(stream.data() + n / 2,
-                                                      n / 4));
-    b.AddBatch(std::span<const PrioritySampler::Item>(
-        stream.data() + n / 2 + n / 4, n - n / 2 - n / 4));
-    for (const auto& e : conc.Sample()) {
-      counts[static_cast<size_t>(e.key)] += 1;
-    }
-  }
-  int64_t total = 0;
-  for (int64_t c : counts) total += c;
-  ASSERT_EQ(total, int64_t(replicates) * int64_t(k));
-  EXPECT_LT(ChiSquareUniform(counts),
-            ChiSquareCritical999(static_cast<int>(n) - 1));
-}
-
 TEST(StatisticalInclusion, MultiStratifiedFrequenciesAreUniform) {
   // 60 keys under two stratification dimensions (key % 3 and key % 4):
   // the shift k -> k+1 (mod 60) permutes the keys transitively while

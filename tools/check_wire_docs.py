@@ -16,7 +16,14 @@ in docs/WIRE_FORMAT.md:
   * the golden corpus (tests/golden/v<N>/<TAG>.bin) must hold a file for
     every magic in every corpus version, headed by that magic and N, and
     the newest corpus version must be the "current version" the family
-    table documents.
+    table documents,
+  * every CKP1*.bin and ENV1*.bin corpus file must parse by the offset
+    table of its section: header magic and N, a kind the doc lists (the
+    CKP1 kind table, the ENV1 "kind u32" line), a declared payload
+    length that matches the file, and a payload that is the documented
+    frame of version N (the kind table's wrapped frame; any frame magic
+    for ENV1 data, nothing for an ack); and every scheme kind and every
+    envelope kind must have such a file in every corpus version.
 
 Exits non-zero listing every gap, so the docs CI job fails when a new
 frame lands without its spec.  Run from anywhere:
@@ -47,6 +54,12 @@ ENUMERATOR_RE = re.compile(r"\bk(\w+)\s*=\s*(\d+)")
 BOUND_RE = re.compile(r"\bk(Min|Max)SchemeKind\s*=\s*(\d+)\s*;")
 FAMILY_ROW_RE = re.compile(r"^\|[^|]*\|\s*`0x[0-9a-fA-F]{8}`\s*\|\s*`(\w{4})`"
                            r"\s*\|\s*(\d+)\s*\|", re.MULTILINE)
+# A row of a section's offset table: "offset  size  field ...".
+FIELD_RE = re.compile(r"^\s*(\d+)\s+(\d+|var)\s+(\w+)", re.MULTILINE)
+# A row of the CKP1 kind table: "| kind | `Family` | WRAPPED ...".
+KIND_ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*`[^`]+`\s*\|\s*(\w{4})\b",
+                         re.MULTILINE)
+ENV_KINDS_RE = re.compile(r"\bkind u32\s*\(([^)]*)\)")
 
 
 def collect_magics():
@@ -76,11 +89,14 @@ def collect_scheme_kinds():
     return kinds, bounds.get("Min"), bounds.get("Max")
 
 
-def check_corpus(magics, doc):
+def corpus_versions():
+    return sorted(int(d.name[1:]) for d in GOLDEN.glob("v*")
+                  if d.is_dir() and d.name[1:].isdigit())
+
+
+def check_corpus(magics, doc, versions):
     """Problems between the golden corpus, the magics and the doc."""
     problems = []
-    versions = sorted(int(d.name[1:]) for d in GOLDEN.glob("v*")
-                      if d.is_dir() and d.name[1:].isdigit())
     if not versions:
         return [f"no golden corpus under {GOLDEN.relative_to(REPO)}"]
     for version in versions:
@@ -101,6 +117,103 @@ def check_corpus(magics, doc):
             problems.append(
                 f"{name}: the family table says version {documented}, the "
                 f"newest golden corpus is v{versions[-1]}")
+    return problems
+
+
+def section(doc, tag):
+    """The text of the "## TAG ..." section, up to the next heading."""
+    match = re.search(rf"^## {tag}\b.*?(?=^## |\Z)", doc,
+                      re.MULTILINE | re.DOTALL)
+    return match.group(0) if match else ""
+
+
+def layout(text):
+    """field name -> (offset, size or None) from a section's offset table."""
+    return {name: (int(off), None if size == "var" else int(size))
+            for off, size, name in FIELD_RE.findall(text)}
+
+
+def u(data, field):
+    offset, size = field
+    return int.from_bytes(data[offset:offset + size], "little")
+
+
+def check_wrapper_files(magics, scheme_kinds, doc, versions):
+    """Problems between the CKP1/ENV1 corpus files and their sections."""
+    problems = []
+    by_hex = {int(h, 16): name for name, (h, _) in magics.items()}
+    ckp_text, env_text = section(doc, "CKP1"), section(doc, "ENV1")
+    ckp, env = layout(ckp_text), layout(env_text)
+    wanted = {"CKP1": ("magic", "version", "scheme_kind", "payload_len",
+                       "payload"),
+              "ENV1": ("magic", "version", "kind", "payload_len",
+                       "payload")}
+    for tag, fields in (("CKP1", ckp), ("ENV1", env)):
+        missing = [f for f in wanted[tag] if f not in fields]
+        if missing:
+            return [f"{tag} offset table lacks {', '.join(missing)}"]
+    wrapped = {int(k): m for k, m in KIND_ROW_RE.findall(ckp_text)}
+    env_line = ENV_KINDS_RE.search(env_text)
+    env_kinds = ({int(v): n for v, n in
+                  re.findall(r"(\d+)\s*=\s*(\w+)", env_line.group(1))}
+                 if env_line else {})
+    if not wrapped:
+        problems.append("no CKP1 kind table rows found")
+    if not env_kinds:
+        problems.append("no '(0 = data, ...)' list on the ENV1 kind line")
+
+    def frame_problem(payload, version, want):
+        if len(payload) < 8:
+            return "payload is not a frame"
+        name = by_hex.get(int.from_bytes(payload[:4], "little"))
+        if name is None or (want is not None and name != want):
+            return f"payload is {name or 'no known frame'}, not {want}"
+        if int.from_bytes(payload[4:8], "little") != version:
+            return f"payload {name} is not version {version}"
+        return None
+
+    for version in versions:
+        root = GOLDEN / f"v{version}"
+        for tag, fields, kinds, required in (
+                ("CKP1", ckp, wrapped, scheme_kinds),
+                ("ENV1", env, env_kinds, env_kinds)):
+            kind_field = fields["scheme_kind" if tag == "CKP1" else "kind"]
+            covered = set()
+            for path in sorted(root.glob(f"{tag}*.bin")):
+                rel = path.relative_to(REPO)
+                data = path.read_bytes()
+                header = fields["payload"][0]
+                if len(data) < header + 4:
+                    problems.append(f"{rel}: shorter than the {tag} header")
+                    continue
+                if (u(data, fields["magic"]) != int(magics[tag][0], 16) or
+                        u(data, fields["version"]) != version):
+                    problems.append(f"{rel}: header is not {tag} version "
+                                    f"{version}")
+                kind = u(data, kind_field)
+                covered.add(kind)
+                length = u(data, fields["payload_len"])
+                if len(data) != header + length + 4:
+                    problems.append(f"{rel}: payload_len {length} does not "
+                                    f"match the file size {len(data)}")
+                    continue
+                payload = data[header:header + length]
+                if kind not in kinds:
+                    problems.append(f"{rel}: kind {kind} is not documented")
+                elif tag == "CKP1":
+                    why = frame_problem(payload, version, kinds[kind])
+                    if why:
+                        problems.append(f"{rel}: kind {kind}: {why}")
+                elif kinds[kind] == "ack":
+                    if payload:
+                        problems.append(f"{rel}: an ack carries a payload")
+                else:
+                    why = frame_problem(payload, version, None)
+                    if why:
+                        problems.append(f"{rel}: {why}")
+            for kind in sorted(set(required) - covered):
+                problems.append(f"{root.relative_to(REPO)}: no {tag} file "
+                                f"of kind {kind} ({required[kind]})")
     return problems
 
 
@@ -144,7 +257,12 @@ def main():
                 f"documented kBadKind bound does not mention [{lo}, {hi}] "
                 f"(checkpoint.h says kMin/kMaxSchemeKind = {lo}/{hi})")
 
-    problems += check_corpus(magics, doc)
+    versions = corpus_versions()
+    problems += check_corpus(magics, doc, versions)
+    if "CKP1" in magics and "ENV1" in magics:
+        problems += check_wrapper_files(magics, kinds, doc, versions)
+    else:
+        problems.append("no CKP1/ENV1 magic declarations found")
 
     if problems:
         print("check_wire_docs: WIRE_FORMAT.md is incomplete:")

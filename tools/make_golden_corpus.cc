@@ -1,6 +1,7 @@
 // Writes the golden wire corpus (tests/golden/golden_cases.h) into a
-// directory: one <MAGIC>.bin file per frame magic, plus CKP1.bin and
-// ENV1.bin. The committed tests/golden/v<N>/ sets were produced by this
+// directory: one <MAGIC>.bin file per frame magic, one CKP1 file per
+// checkpoint scheme kind (CKP1.bin, CKP1-<MAGIC>.bin) and one ENV1 file
+// per envelope kind (ENV1.bin, ENV1-ack.bin). The committed tests/golden/v<N>/ sets were produced by this
 // tool from the writers of wire version N:
 //
 //   ./build/make_golden_corpus tests/golden/v2
