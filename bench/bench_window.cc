@@ -1,6 +1,7 @@
-// Time-axis sampler benchmarks (google-benchmark): the SampleStore-backed
-// sliding window and time-decay samplers, their batched ingest paths, the
-// k-way merges, and the sharded front-ends' epoch-dirty query caches.
+// Time-axis sampler benchmarks (google-benchmark): the column-backed
+// sliding window and the SampleStore-backed time-decay sampler, their
+// batched ingest paths, the k-way merges, and the sharded front-ends'
+// epoch-dirty query caches.
 //
 //   ./build/bench/bench_window
 //   ./build/bench/bench_window --json=BENCH_window.json
@@ -61,16 +62,17 @@ void BM_WindowArrive(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 20000);
 }
-BENCHMARK(BM_WindowArrive)->Arg(64)->Arg(512);
+// 128 is the per-shard k of the window-dashboard pipeline workload.
+BENCHMARK(BM_WindowArrive)->Arg(64)->Arg(128)->Arg(512);
 
 // The rate == k operating point: arrivals spaced window/k apart, so the
 // window holds ~k items, the sample never saturates (every arrival is
 // accepted) and nearly every arrival expires exactly one predecessor.
-// This is the dead-prefix reclamation hot path (CleanupDeadPrefix /
-// SampleStore::DropFront) -- the regime where the classic deque-backed
+// This is the dead-prefix reclamation hot path (CleanupDeadPrefix, one
+// ranged erase per column) -- the regime where the classic deque-backed
 // G&L design wins on O(1) physical front-pops, which
 // BM_WindowArriveBoundaryDequeRef below reproduces as the baseline the
-// store-backed sampler must stay at parity with.
+// column-backed sampler must stay at parity with.
 void BM_WindowArriveBoundary(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const double dt = 1.0 / static_cast<double>(k);

@@ -1,11 +1,14 @@
 #include "ats/samplers/sliding_window.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <limits>
 
+#include "ats/core/sample_store.h"
+#include "ats/core/simd/simd_dispatch.h"
 #include "ats/util/check.h"
 
 namespace {
@@ -34,38 +37,43 @@ SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
     : k_(k),
       window_(window),
       rng_(seed),
-      // Uniform priorities live in (0, 1]; the store bound stays at 1.0
-      // forever because eviction is manual (see Arrive). The store is
-      // sized at TWICE the sampler's k: it holds at most k live plus k
-      // dead-prefix entries (see ExpireUntil), and the store's own
-      // priority-ordered compaction -- which fires whenever a
-      // canonicalizing accessor sees more than its k entries -- must
-      // never run on windowed state (it would evict by priority, not by
-      // time).
-      current_(2 * k, 1.0),
       last_time_(-std::numeric_limits<double>::infinity()) {
   ATS_CHECK(k >= 1);
   ATS_CHECK(window > 0.0);
+  // The columns hold at most k live plus k dead-prefix entries (see
+  // ExpireUntil). Capacity k is a logical limit from the wire, so the
+  // eager reservation is bounded.
+  const size_t reserve = std::min(2 * k, internal::kMaxEagerReserve);
+  priority_.reserve(reserve);
+  id_.reserve(reserve);
+  time_.reserve(reserve);
+  threshold_.reserve(reserve);
 }
 
 void SlidingWindowSampler::CleanupDeadPrefix() {
   if (dead_prefix_ == 0) return;
   // The dead entries are a physical prefix, in time order, and OLDER
   // than everything already in expired_ was when it was copied -- so the
-  // bulk copy appends in time order, and the reclamation is two ranged
-  // erases (memmoves), not a per-element ExtractIf pass. Batching the
-  // copy here (instead of copying item-by-item as each expires) is what
-  // keeps the rate == k boundary at parity with a deque front-pop design
-  // (bench_window.cc, BM_WindowArriveBoundary).
-  const auto& payloads = current_.payloads();
-  const auto& priorities = current_.priorities();
+  // bulk copy appends in time order, and the reclamation is one ranged
+  // erase (a memmove) per column. Batching the copy here (instead of
+  // copying item-by-item as each expires) is what keeps the rate == k
+  // boundary at parity with a deque front-pop design (bench_window.cc,
+  // BM_WindowArriveBoundary).
   expired_.reserve(expired_.size() + dead_prefix_);
-  for (size_t i = 0; i < dead_prefix_; ++i) {
-    expired_.push_back(StoredItem{payloads[i].id, payloads[i].time,
-                                  priorities[i], payloads[i].threshold});
-  }
-  current_.DropFront(dead_prefix_);
+  for (size_t i = 0; i < dead_prefix_; ++i) expired_.push_back(ItemAt(i));
+  const auto n = static_cast<std::ptrdiff_t>(dead_prefix_);
+  priority_.erase(priority_.begin(), priority_.begin() + n);
+  id_.erase(id_.begin(), id_.begin() + n);
+  time_.erase(time_.begin(), time_.begin() + n);
+  threshold_.erase(threshold_.begin(), threshold_.begin() + n);
   dead_prefix_ = 0;
+  ++epoch_;
+}
+
+void SlidingWindowSampler::EraseDroppedExpired() {
+  expired_.erase(expired_.begin(),
+                 expired_.begin() + static_cast<std::ptrdiff_t>(expired_head_));
+  expired_head_ = 0;
 }
 
 void SlidingWindowSampler::FlushExpiry(double now) {
@@ -77,86 +85,110 @@ void SlidingWindowSampler::FlushExpiry(double now) {
   DropExpired();
 }
 
+void SlidingWindowSampler::InsertBounded(double* top, size_t& count,
+                                         double p) {
+  size_t n = count;
+  if (n == kTopCache) {
+    if (!(p > top[n - 1])) return;
+    --n;  // the smallest cached entry falls out of the prefix
+  }
+  const size_t grown = n + 1;
+  while (n > 0 && top[n - 1] < p) {
+    top[n] = top[n - 1];
+    --n;
+  }
+  top[n] = p;
+  count = grown;
+}
+
+void SlidingWindowSampler::EraseCached(double q) {
+  size_t j = top_count_ - 1;
+  while (top_[j] != q) {
+    ATS_DCHECK(j > 0);
+    --j;
+  }
+  for (; j + 1 < top_count_; ++j) top_[j] = top_[j + 1];
+  --top_count_;
+}
+
+void SlidingWindowSampler::RefillTopCache() {
+  // A local prefix the scan can keep in registers (the members could
+  // alias the column as far as the compiler knows).
+  double top[kTopCache] = {};
+  size_t count = 0;
+  for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
+    InsertBounded(top, count, priority_[i]);
+  }
+  std::copy(top, top + count, top_);
+  top_count_ = count;
+}
+
+namespace {
+
+// Index of the first entry >= `value`, which must exist. Full 64-entry
+// blocks go through the dispatched `priority < bound` compare kernel:
+// the first clear bit is the answer.
+size_t FindFirstAtLeast(const std::vector<double>& column, double value) {
+  const double* p = column.data();
+  size_t i = 0;
+  for (; i + internal::kIngestBlock <= column.size();
+       i += internal::kIngestBlock) {
+    const uint64_t below = simd::ActiveKernels().prefilter_mask64(p + i, value);
+    if (below != ~uint64_t{0}) {
+      return i + static_cast<size_t>(std::countr_one(below));
+    }
+  }
+  while (p[i] < value) ++i;
+  return i;
+}
+
+}  // namespace
+
 bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
                                               uint64_t id) {
   // Initial threshold at a full sample: the k-th smallest of the k
   // current priorities together with the new one. With m1 the largest
   // and m2 the second largest current priority, that is m1 if the
-  // newcomer is above m1, otherwise max(m2, priority). The live current
-  // set is the column region past the dead prefix.
-  double m1 = 0.0, m2 = 0.0;
-  {
-    // Top two over kLanes interleaved lanes, branch-free, then folded:
-    // max/min are exact, so the pair equals the sequential scan's. This
-    // is the per-arrival hot loop at a full sample; the branchy
-    // one-lane scan ran ~10% faster or slower end to end depending only
-    // on where the linker happened to place it.
-    constexpr size_t kLanes = 4;
-    const auto& priorities = current_.priorities();
-    double l1[kLanes] = {}, l2[kLanes] = {};
-    size_t i = dead_prefix_;
-    for (; i + kLanes <= priorities.size(); i += kLanes) {
-      for (size_t l = 0; l < kLanes; ++l) {
-        const double p = priorities[i + l];
-        l2[l] = std::max(l2[l], std::min(l1[l], p));
-        l1[l] = std::max(l1[l], p);
-      }
-    }
-    const auto fold = [&m1, &m2](double p) {
-      m2 = std::max(m2, std::min(m1, p));
-      m1 = std::max(m1, p);
-    };
-    for (; i < priorities.size(); ++i) fold(priorities[i]);
-    for (size_t l = 0; l < kLanes; ++l) {
-      fold(l1[l]);
-      fold(l2[l]);
-    }
-  }
+  // newcomer is above m1, otherwise max(m2, priority). Both come from
+  // the top cache, refilled by one scan when it runs low.
+  const size_t live = priority_.size() - dead_prefix_;
+  if (top_count_ < 2 && top_count_ < live) RefillTopCache();
+  const double m1 = top_[0];
+  const double m2 = top_count_ >= 2 ? top_[1] : 0.0;
   const double initial_threshold =
       priority >= m1 ? m1 : std::max(m2, priority);
   if (priority >= initial_threshold) return false;
 
   // The insertion will push |C| above k: lower every current threshold
-  // to min(T_i, T_n) and evict the (first) largest-priority item -- its
-  // priority is >= the new threshold. Both run on the physically clean
-  // store (evictions are O(k) anyway, so the deferred prefix cleanup
-  // rides along) and BEFORE the store sees the newcomer, so the store
-  // never exceeds k entries here and its own compaction stays idle.
+  // to min(T_i, T_n) and evict the first largest-priority item (m1; its
+  // priority is >= the new threshold). Both run on the physically clean
+  // columns (evictions are O(k) anyway, so the deferred prefix cleanup
+  // rides along): the dead prefix reaches expired_ with its thresholds
+  // as they were when it expired.
   CleanupDeadPrefix();
-  current_.ForEachMutablePayload(
-      [initial_threshold](double, WindowItem& item) {
-        item.threshold = std::min(item.threshold, initial_threshold);
-      });
-  const auto& priorities = current_.priorities();
-  size_t evict = 0;
-  for (size_t i = 1; i < priorities.size(); ++i) {
-    if (priorities[i] > priorities[evict]) evict = i;
-  }
-  ATS_DCHECK(priorities[evict] >= initial_threshold);
-  size_t index = 0;
-  current_.ExtractIf(
-      [&index, evict](double, const WindowItem&) {
-        return index++ == evict;
-      },
-      [](double, WindowItem&&) {});
-  current_.Offer(priority, WindowItem{id, time, initial_threshold});
+  for (double& t : threshold_) t = std::min(t, initial_threshold);
+  // m1 is the live maximum, so the first entry >= m1 is the first one
+  // equal to it.
+  const auto evict =
+      static_cast<std::ptrdiff_t>(FindFirstAtLeast(priority_, m1));
+  ATS_DCHECK(static_cast<size_t>(evict) < priority_.size());
+  TopErase(m1);
+  priority_.erase(priority_.begin() + evict);
+  id_.erase(id_.begin() + evict);
+  time_.erase(time_.begin() + evict);
+  threshold_.erase(threshold_.begin() + evict);
+  TopInsert(priority, priority_.size());
+  Append(priority, id, time, initial_threshold);
+  ++epoch_;
   return true;
-}
-
-SlidingWindowSampler::StoredItem SlidingWindowSampler::ItemAt(
-    size_t i) const {
-  const WindowItem& item = current_.payloads()[i];
-  return StoredItem{item.id, item.time, current_.priorities()[i],
-                    item.threshold};
 }
 
 double SlidingWindowSampler::GlThreshold(double now) {
   FlushExpiry(now);
   const auto expired = ExpiredItems();
   std::vector<double> priorities;
-  priorities.reserve(current_.size() + expired.size());
-  priorities.assign(current_.priorities().begin(),
-                    current_.priorities().end());
+  priorities.reserve(priority_.size() + expired.size());
+  priorities.assign(priority_.begin(), priority_.end());
   for (const StoredItem& it : expired) priorities.push_back(it.priority);
   if (priorities.size() < k_) return 1.0;
   std::nth_element(priorities.begin(),
@@ -167,9 +199,8 @@ double SlidingWindowSampler::GlThreshold(double now) {
 
 double SlidingWindowSampler::CurrentMinThreshold() const {
   double t = 1.0;
-  const auto& payloads = current_.payloads();
-  for (size_t i = dead_prefix_; i < payloads.size(); ++i) {
-    t = std::min(t, payloads[i].threshold);
+  for (size_t i = dead_prefix_; i < threshold_.size(); ++i) {
+    t = std::min(t, threshold_[i]);
   }
   return t;
 }
@@ -182,12 +213,9 @@ double SlidingWindowSampler::ImprovedThreshold(double now) {
 std::vector<SampleEntry> SlidingWindowSampler::SampleWithThreshold(
     double threshold) const {
   std::vector<SampleEntry> out;
-  const auto& priorities = current_.priorities();
-  const auto& payloads = current_.payloads();
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    if (priorities[i] < threshold) {
-      out.push_back(MakeUniformEntry(payloads[i].id, 1.0, priorities[i],
-                                     threshold));
+  for (size_t i = 0; i < priority_.size(); ++i) {
+    if (priority_[i] < threshold) {
+      out.push_back(MakeUniformEntry(id_[i], 1.0, priority_[i], threshold));
     }
   }
   return out;
@@ -203,17 +231,15 @@ std::vector<SampleEntry> SlidingWindowSampler::ImprovedSample(double now) {
 
 size_t SlidingWindowSampler::StoredCount(double now) {
   FlushExpiry(now);
-  return current_.size() + ExpiredItems().size();
+  return priority_.size() + ExpiredItems().size();
 }
 
 std::vector<SlidingWindowSampler::StoredItem>
 SlidingWindowSampler::CurrentItems(double now) {
   FlushExpiry(now);
   std::vector<StoredItem> out;
-  out.reserve(current_.size());
-  for (size_t i = 0; i < current_.size(); ++i) {
-    out.push_back(ItemAt(i));
-  }
+  out.reserve(priority_.size());
+  for (size_t i = 0; i < priority_.size(); ++i) out.push_back(ItemAt(i));
   return out;
 }
 
@@ -240,7 +266,7 @@ SlidingWindowSampler::WindowSnapshot SlidingWindowSampler::SnapshotAt(
       snap.expired.push_back(it);
     }
   }
-  for (size_t i = dead_prefix_; i < current_.size(); ++i) {
+  for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
     const StoredItem it = ItemAt(i);
     if (it.time <= cut_drop) continue;
     (it.time <= cut_window ? snap.expired : snap.current).push_back(it);
@@ -271,7 +297,7 @@ SlidingWindowSampler::WindowSnapshot SlidingWindowSampler::SnapshotOfView(
 void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
                                             double now) {
   FlushExpiry(now);
-  ++aux_epoch_;
+  ++epoch_;
   // Min threshold composition (Theorem 9): the common bound is the min
   // of both sides' improved thresholds at the merge instant.
   double bound = CurrentMinThreshold();
@@ -279,22 +305,29 @@ void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
     bound = std::min(bound, it.threshold);
   }
   // Candidates: the time-sorted union of the current sets, self first
-  // for equal times (stable), matching the accumulation order of every
-  // earlier merge so priority ties resolve deterministically.
-  std::vector<StoredItem> candidates;
-  candidates.reserve(current_.size());
-  for (size_t i = 0; i < current_.size(); ++i) {
-    candidates.push_back(ItemAt(i));
+  // for equal times, matching the accumulation order of every earlier
+  // merge so priority ties resolve deterministically. Both sides are
+  // already time-ordered runs, so one linear std::merge (which takes
+  // from the first range on ties) equals the stable sort of self ++
+  // other; dropping entries at or above the bound before merging keeps
+  // both runs ordered.
+  const auto by_time = [](const StoredItem& a, const StoredItem& b) {
+    return a.time < b.time;
+  };
+  ATS_DCHECK(std::is_sorted(time_.begin(), time_.end()));
+  ATS_DCHECK(std::is_sorted(snap.current.begin(), snap.current.end(),
+                            by_time));
+  std::vector<StoredItem> own;
+  own.reserve(priority_.size());
+  for (size_t i = 0; i < priority_.size(); ++i) {
+    if (priority_[i] < bound) own.push_back(ItemAt(i));
   }
-  candidates.insert(candidates.end(), snap.current.begin(),
-                    snap.current.end());
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const StoredItem& a, const StoredItem& b) {
-                     return a.time < b.time;
-                   });
-  std::erase_if(candidates, [bound](const StoredItem& it) {
+  std::erase_if(snap.current, [bound](const StoredItem& it) {
     return it.priority >= bound;
   });
+  std::vector<StoredItem> candidates(own.size() + snap.current.size());
+  std::merge(own.begin(), own.end(), snap.current.begin(),
+             snap.current.end(), candidates.begin(), by_time);
   // Re-cap at k with the usual bottom-k selection (ties at the pivot
   // kept first-arrived-first, mirroring the store's compaction).
   double t_final = bound;
@@ -321,31 +354,30 @@ void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
     }
     candidates = std::move(kept);
   }
-  // Min-compose the per-item thresholds with the final bound. The
+  // Rebuild the columns (time order preserved by construction),
+  // min-composing the per-item thresholds with the final bound. The
   // improved threshold (min over items) already equals t_final, so this
   // changes no query result; it keeps per-item state consistent with
   // what a single sampler's eviction chain records.
-  for (StoredItem& it : candidates) {
-    it.threshold = std::min(it.threshold, t_final);
-  }
-  // Rebuild the current store (time order preserved by construction).
-  current_.ExtractIf([](double, const WindowItem&) { return true; },
-                     [](double, WindowItem&&) {});
+  priority_.clear();
+  id_.clear();
+  time_.clear();
+  threshold_.clear();
   for (const StoredItem& it : candidates) {
-    current_.Offer(it.priority, WindowItem{it.id, it.time, it.threshold});
+    Append(it.priority, it.id, it.time, std::min(it.threshold, t_final));
   }
+  top_count_ = 0;
   // Union the expired sets in time order; they feed the G&L threshold of
   // the merged sampler. Self expiry at `now` already trimmed both sides
-  // (the snapshot was filtered at `now`).
+  // (the snapshot was filtered at `now`). Again two time-ordered runs,
+  // self first on ties.
   const auto expired_live = ExpiredItems();
-  std::vector<StoredItem> merged_expired(expired_live.begin(),
-                                         expired_live.end());
-  merged_expired.insert(merged_expired.end(), snap.expired.begin(),
-                        snap.expired.end());
-  std::stable_sort(merged_expired.begin(), merged_expired.end(),
-                   [](const StoredItem& a, const StoredItem& b) {
-                     return a.time < b.time;
-                   });
+  ATS_DCHECK(std::is_sorted(snap.expired.begin(), snap.expired.end(),
+                            by_time));
+  std::vector<StoredItem> merged_expired(expired_live.size() +
+                                         snap.expired.size());
+  std::merge(expired_live.begin(), expired_live.end(), snap.expired.begin(),
+             snap.expired.end(), merged_expired.begin(), by_time);
   expired_ = std::move(merged_expired);
   expired_head_ = 0;
 }
@@ -395,13 +427,11 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
          expired_live[skip_expired].time <= drop_cut) {
     ++skip_expired;
   }
-  const auto& payloads = current_.payloads();
   size_t skip_dead = 0;
-  while (skip_dead < dead_prefix_ &&
-         payloads[skip_dead].time <= drop_cut) {
+  while (skip_dead < dead_prefix_ && time_[skip_dead] <= drop_cut) {
     ++skip_dead;
   }
-  w.WriteU64(current_.size() - dead_prefix_);
+  w.WriteU64(priority_.size() - dead_prefix_);
   w.WriteU64((expired_live.size() - skip_expired) +
              (dead_prefix_ - skip_dead));
   const auto write_entry = [&w](const StoredItem& it) {
@@ -410,7 +440,7 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
     w.WriteDouble(it.priority);
     w.WriteDouble(it.threshold);
   };
-  for (size_t i = dead_prefix_; i < current_.size(); ++i) {
+  for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
     write_entry(ItemAt(i));
   }
   // Expired region in time order: expired_ entries predate everything
@@ -491,8 +521,7 @@ std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
       return std::nullopt;
     }
     prev = it->time;
-    out.current_.Offer(it->priority,
-                       WindowItem{it->id, it->time, it->threshold});
+    out.Append(it->priority, it->id, it->time, it->threshold);
   }
   prev = -std::numeric_limits<double>::infinity();
   for (uint64_t i = 0; i < *expired_count; ++i) {

@@ -23,16 +23,20 @@
 //    constant across the window so Theorem 6 upgrades it to full
 //    substitutability. Same sketch, roughly twice the usable sample.
 //
-// Retention lives on the shared SampleStore core: the current set C(t) is
-// a SampleStore<WindowItem> whose priority column carries R_i and whose
-// payload column carries (id, time, per-item threshold T_i). Window
-// expiry is the store's ExtractIf hook (a stable time partition -- the
-// columns are always in arrival == time order), the min-update on
-// eviction is ForEachMutablePayload, and the capacity eviction itself is
-// the same bottom-k selection the store's compaction uses. That puts the
-// windowed sampler on the identical retention engine as the sketches, so
-// it inherits the mergeable-sketch wire format and the k-way
-// aggregation below.
+// Storage layout: the current set C(t) is four parallel columns --
+// priority R_i, id, arrival time, and per-item threshold T_i -- always in
+// arrival (== time) order, so window expiry is a prefix and the eviction
+// min-update is one pass over a contiguous double column. The window does
+// not use SampleStore: its retention is by time and by the largest
+// priority, not by a bottom-k compaction.
+//
+// Per-arrival cost at a full sample: the initial threshold needs the two
+// largest live priorities. An exact cache of the kTopCache largest live
+// priorities (a descending multiset prefix) is maintained on every
+// insert, eviction and expiry, so a rejected arrival is O(1) and an
+// accepted one is one contiguous pass per column (min-update, evictee
+// lookup, erase). A merge or deserialize leaves the cache empty; one scan
+// refills it whenever fewer than two entries remain.
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
 // one stream, sharing the time axis, merge by min threshold composition
@@ -53,6 +57,7 @@
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -61,8 +66,8 @@
 #include <vector>
 
 #include "ats/core/random.h"
-#include "ats/core/sample_store.h"
 #include "ats/core/threshold.h"
+#include "ats/util/check.h"
 #include "ats/util/memory.h"
 #include "ats/util/serialize.h"
 
@@ -85,19 +90,20 @@ class SlidingWindowSampler {
   /// Thread-safety: mutating call -- external synchronization required.
   //
   /// Defined inline: at the rate == k operating point the whole per-
-  /// arrival path is a handful of compares and two column push_backs,
+  /// arrival path is a handful of compares and four column push_backs,
   /// and the call overhead itself is measurable against the deque
   /// baseline it is benchmarked against (BM_WindowArriveBoundary).
   bool Arrive(double time, uint64_t id) {
     ExpireUntil(time);
     const double priority = rng_.NextDoubleOpenZero();
-    if (current_.size() - dead_prefix_ >= k_) {
-      return ArriveAtFullSample(time, priority, id);
-    }
-    // Underfull: initial threshold 1. The store's acceptance bound is
-    // pinned at 1.0 forever (eviction is manual), so Offer IS the
-    // R_n < T_n test.
-    return current_.Offer(priority, WindowItem{id, time, 1.0});
+    const size_t live = priority_.size() - dead_prefix_;
+    if (live >= k_) return ArriveAtFullSample(time, priority, id);
+    // Underfull: initial threshold 1, so R_n < 1 is the whole test.
+    if (!(priority < 1.0)) return false;
+    TopInsert(priority, live);
+    Append(priority, id, time, 1.0);
+    ++epoch_;
+    return true;
   }
 
   // --- Queries (all advance expiry to `now`) ---
@@ -122,12 +128,14 @@ class SlidingWindowSampler {
   size_t StoredCount(double now);
 
   /// Live heap bytes of the windowed state (util/memory.h convention):
-  /// the current store's SoA columns plus the expired column, including
+  /// the four current-set columns plus the expired column, including
   /// the not-yet-extracted dead prefix and the not-yet-erased dropped
   /// head (they occupy real bytes until the deferred cleanup runs).
   /// O(1), non-canonicalizing -- never advances expiry.
   size_t MemoryFootprint() const {
-    return current_.MemoryFootprint() + VectorFootprint(expired_);
+    return VectorFootprint(priority_) + VectorFootprint(id_) +
+           VectorFootprint(time_) + VectorFootprint(threshold_) +
+           VectorFootprint(expired_);
   }
 
   /// Current items (after expiry at `now`), for the Figure 1 threshold
@@ -144,9 +152,7 @@ class SlidingWindowSampler {
   /// Monotone counter covering every observable mutation (accepted
   /// arrivals, evictions, expiry movement, merges). Query-side caches
   /// (ShardedWindowSampler) snapshot it to skip re-merging clean shards.
-  uint64_t mutation_epoch() const {
-    return current_.mutation_epoch() + aux_epoch_;
-  }
+  uint64_t mutation_epoch() const { return epoch_; }
 
   /// Merges a sampler over a disjoint key partition of the same timeline
   /// (windows must match; ATS_CHECK enforced). Equivalent to
@@ -227,14 +233,6 @@ class SlidingWindowSampler {
   bool MergeManyFrames(std::span<const std::string_view> frames);
 
  private:
-  // Store payload: everything about a stored item except its priority,
-  // which lives in the store's priority column.
-  struct WindowItem {
-    uint64_t id = 0;
-    double time = 0.0;
-    double threshold = 1.0;
-  };
-
   // One input of the shared merge core: a filtered view of a sampler or
   // frame at the global merge instant `now` (current: time in
   // (now - w, now]; expired: time in (now - 2w, now - w]).
@@ -243,26 +241,30 @@ class SlidingWindowSampler {
     std::vector<StoredItem> expired;
   };
 
+  // Size of the top-priority cache. Large enough that a refill scan is
+  // amortized over several accepted arrivals, small enough that the
+  // sampler fits the 280 bytes a concurrent shard slot leaves it.
+  static constexpr size_t kTopCache = 7;
+
   // The expiry hot path: pure MARKING. Entries leaving the window only
   // advance dead_prefix_ (no copy, no pop -- they stay parked in the
   // column prefix); entries of expired_ aging past two windows only
   // advance expired_head_. The physical work (copying the dead prefix
   // into expired_, erasing both prefixes) is batched into
-  // CleanupDeadPrefix / the erase below at every k-th marking, so one
-  // arrival at the rate == k boundary costs two compares and two
-  // increments here -- the regime where the classic deque design's O(1)
-  // pop_front used to win (BM_WindowArriveBoundary).
+  // CleanupDeadPrefix / EraseDroppedExpired at every k-th marking, so one
+  // arrival at the rate == k boundary costs two compares, two
+  // increments and a top-cache check here -- the regime where the
+  // classic deque design's O(1) pop_front used to win
+  // (BM_WindowArriveBoundary).
   void ExpireUntil(double now) {
     if (now > last_time_) last_time_ = now;
     const double cutoff = last_time_ - window_;
-    const auto& payloads = current_.payloads();
-    if (dead_prefix_ < payloads.size() &&
-        payloads[dead_prefix_].time <= cutoff) {
-      ++aux_epoch_;
+    if (dead_prefix_ < time_.size() && time_[dead_prefix_] <= cutoff) {
+      ++epoch_;
       do {
+        TopErase(priority_[dead_prefix_]);
         ++dead_prefix_;
-      } while (dead_prefix_ < payloads.size() &&
-               payloads[dead_prefix_].time <= cutoff);
+      } while (dead_prefix_ < time_.size() && time_[dead_prefix_] <= cutoff);
       if (dead_prefix_ >= k_) CleanupDeadPrefix();
     }
     DropExpired();
@@ -274,19 +276,17 @@ class SlidingWindowSampler {
     const double drop = last_time_ - 2.0 * window_;
     if (expired_head_ < expired_.size() &&
         expired_[expired_head_].time <= drop) {
-      ++aux_epoch_;
+      ++epoch_;
       do {
         ++expired_head_;
       } while (expired_head_ < expired_.size() &&
                expired_[expired_head_].time <= drop);
-      if (expired_head_ >= k_) {
-        expired_.erase(expired_.begin(),
-                       expired_.begin() +
-                           static_cast<std::ptrdiff_t>(expired_head_));
-        expired_head_ = 0;
-      }
+      if (expired_head_ >= k_) EraseDroppedExpired();
     }
   }
+  // Physically erases the dropped expired_ prefix. Out of line, like the
+  // cache updates below, so Arrive stays small enough to be inlined.
+  void EraseDroppedExpired();
 
   // The live (not yet dropped) expired items X(t), oldest first.
   std::span<const StoredItem> ExpiredItems() const {
@@ -294,17 +294,62 @@ class SlidingWindowSampler {
                                        expired_.size() - expired_head_);
   }
 
-  // The saturated-sample arrival path: O(k) threshold scan, min-update,
-  // and eviction. Out of line -- only the underfull/reject path above is
-  // latency-critical per arrival.
+  // --- Top-priority cache ---
+  //
+  // Invariant: top_[0, top_count_) holds the top_count_ largest live
+  // priorities (columns past the dead prefix) as a multiset, in
+  // descending order. An empty cache is always valid, which is how a
+  // merge or deserialize invalidates it.
+
+  // Inserts p into the descending prefix top[0, count) holding at most
+  // kTopCache entries; a full prefix drops its smallest entry for a
+  // larger p and ignores a p that is not larger.
+  static void InsertBounded(double* top, size_t& count, double p);
+
+  // Records that live priority p was added to a live set of `live`
+  // entries. The cache covers the whole set when top_count_ == live;
+  // otherwise p joins only if it is not below the cached prefix. Only
+  // the tests are inline: the arrival path rarely changes the cache.
+  void TopInsert(double p, size_t live) {
+    const size_t n = top_count_;
+    if (n == kTopCache ? p > top_[n - 1]
+                       : n == live || (n != 0 && !(p < top_[n - 1]))) {
+      InsertBounded(top_, top_count_, p);
+    }
+  }
+
+  // Records that live priority q left the live set. A value at or above
+  // the cached minimum is (a copy of) a cached entry, so one copy goes.
+  void TopErase(double q) {
+    if (top_count_ != 0 && !(q < top_[top_count_ - 1])) EraseCached(q);
+  }
+  void EraseCached(double q);
+
+  // One scan over the live priorities refills the cache.
+  void RefillTopCache();
+
+  // Appends one entry to the four current-set columns.
+  void Append(double priority, uint64_t id, double time, double threshold) {
+    priority_.push_back(priority);
+    id_.push_back(id);
+    time_.push_back(time);
+    threshold_.push_back(threshold);
+  }
+
+  // The saturated-sample arrival path: O(1) threshold from the top
+  // cache, then, if accepted, the min-update and eviction. Out of line
+  // -- only the underfull path above is latency-critical per arrival,
+  // and keeping Arrive small keeps it inlined into callers' loops.
   bool ArriveAtFullSample(double time, double priority, uint64_t id);
   // Expiry advance for QUERY paths: ExpireUntil plus the physical
   // extraction, plus a re-drop -- items that aged past two windows while
   // parked in the dead prefix surface in expired_ only at extraction
   // time, so one more head scan makes the exposed expired set exact.
   void FlushExpiry(double now);
-  // Stored item i reassembled from the parallel store columns.
-  StoredItem ItemAt(size_t i) const;
+  // Stored item i reassembled from the parallel columns.
+  StoredItem ItemAt(size_t i) const {
+    return StoredItem{id_[i], time_[i], priority_[i], threshold_[i]};
+  }
   // Physically extracts the dead (logically expired) column prefix:
   // bulk-copies it into expired_, then erases it from the columns.
   // Amortized O(1) per expired item: runs when the prefix reaches k, or
@@ -312,7 +357,7 @@ class SlidingWindowSampler {
   // merges, never the accept path of the boundary regime).
   void CleanupDeadPrefix();
   std::vector<SampleEntry> SampleWithThreshold(double threshold) const;
-  // Improved threshold over the store as-is (no expiry advance).
+  // Improved threshold over the columns as-is (no expiry advance).
   double CurrentMinThreshold() const;
   // Snapshot of a (possibly lazily expired) sampler at global time `now`.
   WindowSnapshot SnapshotAt(double now) const;
@@ -325,12 +370,12 @@ class SlidingWindowSampler {
   size_t k_;
   double window_;
   Xoshiro256 rng_;
-  // Current items C(t): priority column + WindowItem payloads, always in
-  // arrival (== time) order. Capacity eviction is manual (the acceptance
-  // rule needs the evicting threshold first), and the store is sized at
-  // 2k so that its own priority-ordered compaction never fires on the
-  // at most k live + k dead-prefix entries it buffers (see the ctor).
-  SampleStore<WindowItem> current_;
+  // Current items C(t): four parallel columns, always in arrival
+  // (== time) order.
+  std::vector<double> priority_;
+  std::vector<uint64_t> id_;
+  std::vector<double> time_;
+  std::vector<double> threshold_;
   // Leading column entries that have logically expired but are not yet
   // copied into expired_ or physically extracted; every column reader
   // starts past this index. See ExpireUntil / CleanupDeadPrefix.
@@ -342,9 +387,11 @@ class SlidingWindowSampler {
   std::vector<StoredItem> expired_;
   size_t expired_head_ = 0;
   double last_time_;
-  // Observable mutations not visible in the store's epoch (expired-side
-  // changes, time advancement); see mutation_epoch().
-  uint64_t aux_epoch_ = 0;
+  // Observable-mutation counter; see mutation_epoch().
+  uint64_t epoch_ = 0;
+  // The top-priority cache; see TopInsert.
+  double top_[kTopCache] = {};
+  size_t top_count_ = 0;
 };
 
 static_assert(MergeableSketch<SlidingWindowSampler>);

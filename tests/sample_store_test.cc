@@ -371,34 +371,6 @@ TEST(SampleStore, DifferentialVsSortedVectorOracle) {
   }
 }
 
-TEST(SampleStore, DropFrontEqualsPrefixExtractIf) {
-  // DropFront(n) must be observationally identical to ExtractIf removing
-  // exactly the first n entries (it is the window sampler's fast path
-  // for dead-prefix reclamation).
-  for (size_t n : {0u, 1u, 5u, 32u}) {
-    const auto priorities = RandomPriorities(40, 11);
-    SampleStore<uint64_t> a(64, 1.0);
-    SampleStore<uint64_t> b(64, 1.0);
-    for (size_t i = 0; i < priorities.size(); ++i) {
-      a.Offer(priorities[i], i);
-      b.Offer(priorities[i], i);
-    }
-    const uint64_t epoch_before = a.mutation_epoch();
-    a.DropFront(n);
-    size_t index = 0;
-    b.ExtractIf(
-        [&index, n](double, const uint64_t&) { return index++ < n; },
-        [](double, uint64_t&&) {});
-    ASSERT_EQ(a.size(), b.size()) << "n=" << n;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.priorities()[i], b.priorities()[i]);
-      EXPECT_EQ(a.payloads()[i], b.payloads()[i]);
-    }
-    // Epoch bumps iff something was removed, matching ExtractIf.
-    EXPECT_EQ(a.mutation_epoch() != epoch_before, n > 0) << "n=" << n;
-  }
-}
-
 TEST(SampleStore, ColumnsStayInLockstep) {
   // Heavy churn with evictions: priorities()[i] must keep pairing with
   // payloads()[i] (the payload equals the priority's original index).

@@ -151,5 +151,12 @@ TEST(SlidingWindow, UnderfullWindowKeepsEverything) {
   EXPECT_EQ(sampler.ImprovedThreshold(2.0), 1.0);
 }
 
+TEST(SlidingWindow, FitsItsConcurrentShardSlot) {
+  // A concurrent shard slot is a 64-byte-aligned {mutex, sampler} pair;
+  // with the 40-byte mutex, a sampler of at most 280 bytes keeps the slot
+  // at 320 bytes, so the sharded state does not grow.
+  EXPECT_LE(sizeof(SlidingWindowSampler), 280u);
+}
+
 }  // namespace
 }  // namespace ats

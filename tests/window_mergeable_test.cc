@@ -22,6 +22,7 @@
 #include "ats/samplers/sharded_time_axis.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
+#include "ats/util/check.h"
 #include "ats/util/serialize.h"
 #include "ats/workload/arrivals.h"
 
@@ -135,17 +136,23 @@ struct OracleParam {
   size_t k;
   double rate;
   uint64_t seed;
+  // Rate multiplier over [3, 3.5); 1 is a constant-rate stream. After a
+  // spike, the burst's samples expire together and drain the sampler's
+  // cached largest priorities.
+  double spike = 1.0;
 };
 
 class WindowOracleSweep : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
-  const auto [k, rate, seed] = GetParam();
+  const auto [k, rate, seed, spike] = GetParam();
   const double window = 1.0;
   SlidingWindowSampler ported(k, window, seed);
   ReferenceWindowSampler reference(k, window, seed);
-  ArrivalProcess arrivals(RateProfile::Constant(rate), rate * 1.1,
-                          seed + 77);
+  ArrivalProcess arrivals(
+      spike == 1.0 ? RateProfile::Constant(rate)
+                   : RateProfile::WithSpike(rate, 3.0, 3.5, spike),
+      rate * spike * 1.1, seed + 77);
   size_t checked = 0;
   for (const Arrival& a : arrivals.Until(6.0)) {
     ASSERT_EQ(ported.Arrive(a.time, a.id), reference.Arrive(a.time, a.id))
@@ -167,7 +174,13 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, WindowOracleSweep,
     ::testing::Values(OracleParam{1, 200.0, 1}, OracleParam{10, 500.0, 2},
                       OracleParam{25, 800.0, 3}, OracleParam{50, 2000.0, 4},
-                      OracleParam{100, 300.0, 5}));
+                      OracleParam{100, 300.0, 5}, OracleParam{2, 300.0, 6},
+                      // rate == k: the window hovers at a full sample.
+                      OracleParam{128, 128.0, 7},
+                      OracleParam{128, 1500.0, 8},
+                      OracleParam{2, 200.0, 9, 6.0},
+                      OracleParam{25, 300.0, 10, 6.0},
+                      OracleParam{128, 400.0, 11, 6.0}));
 
 // ----------------------------------------------------------------------
 // Wire round trips.
@@ -495,6 +508,138 @@ TEST(TimeAxisMerge, TiedPrioritiesMergeIdenticallyOnBothPaths) {
   EXPECT_EQ(items[0].id, 1u);
   EXPECT_EQ(items[1].id, 4u);
   EXPECT_EQ(items[2].id, 2u);
+}
+
+TEST(TimeAxisMerge, EqualTimesKeepTheAccumulatorFirst) {
+  // Both regions of both frames share their times; the merged order at
+  // each time is the accumulator's entry, then the input's.
+  const std::string frame_a = HandcraftedWindowFrame(
+      4, 1.0, 10.0, {{1, 9.5, 0.1, 0.5}, {2, 9.7, 0.2, 0.5}},
+      {{3, 8.6, 0.3, 0.5}});
+  const std::string frame_b = HandcraftedWindowFrame(
+      4, 1.0, 10.0, {{4, 9.5, 0.15, 0.6}, {5, 9.7, 0.25, 0.6}},
+      {{6, 8.6, 0.35, 0.6}});
+  const auto ids_of = [](const SlidingWindowSampler& s) {
+    const std::string frame = s.SerializeToString();
+    const auto view = SlidingWindowSampler::DeserializeView(frame);
+    ATS_CHECK(view.has_value());
+    std::vector<uint64_t> ids;
+    for (size_t i = 0; i < view->current_count() + view->expired_count();
+         ++i) {
+      ids.push_back(view->entry(i).id);
+    }
+    return ids;
+  };
+  auto ab = SlidingWindowSampler::Deserialize(std::string_view(frame_a));
+  auto b = SlidingWindowSampler::Deserialize(std::string_view(frame_b));
+  ASSERT_TRUE(ab.has_value() && b.has_value());
+  ab->Merge(*b);
+  EXPECT_EQ(ids_of(*ab), (std::vector<uint64_t>{1, 4, 2, 5, 3, 6}));
+
+  auto ba = SlidingWindowSampler::Deserialize(std::string_view(frame_b));
+  const std::vector<std::string_view> frames{frame_a};
+  ASSERT_TRUE(ba->MergeManyFrames(frames));
+  EXPECT_EQ(ids_of(*ba), (std::vector<uint64_t>{4, 1, 5, 2, 6, 3}));
+}
+
+// ----------------------------------------------------------------------
+// The top-priority cache. A restore or a merge leaves it empty, so a
+// sampler that went through either must keep arriving exactly like a
+// sampler rebuilt from its own frame (or, for Deserialize, like the
+// original whose cache is warm). The continuation stream spikes, so the
+// burst's expiry drains the cache again.
+
+void ExpectSameContinuation(SlidingWindowSampler& a, SlidingWindowSampler& b,
+                            uint64_t seed) {
+  ASSERT_EQ(a.SerializeToString(), b.SerializeToString());
+  const double from = a.last_time();
+  ArrivalProcess more(RateProfile::WithSpike(600.0, 0.5, 0.8, 5.0), 3300.0,
+                      seed);
+  size_t n = 0;
+  for (const Arrival& arrival : more.Until(2.5)) {
+    const double t = from + arrival.time;
+    const uint64_t id = 5000000 + arrival.id;
+    ASSERT_EQ(a.Arrive(t, id), b.Arrive(t, id)) << "id " << id;
+    if (++n % 97 == 0) ExpectSameItems(a.CurrentItems(t), b.CurrentItems(t));
+  }
+  EXPECT_EQ(a.SerializeToString(), b.SerializeToString());
+}
+
+// A constant-rate stream over ids [id_base, id_base + n).
+SlidingWindowSampler MakeKeyedWindow(size_t k, double rate, double horizon,
+                                     uint64_t seed, uint64_t id_base) {
+  SlidingWindowSampler sampler(k, 1.0, seed);
+  ArrivalProcess arrivals(RateProfile::Constant(rate), rate * 1.1, seed + 1);
+  for (const Arrival& a : arrivals.Until(horizon)) {
+    sampler.Arrive(a.time, id_base + a.id);
+  }
+  return sampler;
+}
+
+SlidingWindowSampler Rebuilt(const SlidingWindowSampler& sampler) {
+  auto restored =
+      SlidingWindowSampler::Deserialize(sampler.SerializeToString());
+  ATS_CHECK(restored.has_value());
+  return *std::move(restored);
+}
+
+TEST(WindowTopCache, DeserializedSamplerContinuesLikeTheOriginal) {
+  for (size_t k : {2u, 32u, 128u}) {
+    SCOPED_TRACE(k);
+    SlidingWindowSampler original = MakeKeyedWindow(k, 900.0, 3.0, k, 0);
+    SlidingWindowSampler restored = Rebuilt(original);
+    ExpectSameContinuation(original, restored, 40 + k);
+  }
+}
+
+TEST(WindowTopCache, MergedSamplerContinuesLikeItsOwnFrame) {
+  for (size_t k : {2u, 32u, 128u}) {
+    SCOPED_TRACE(k);
+    SlidingWindowSampler merged = MakeKeyedWindow(k, 900.0, 3.0, 3, 0);
+    merged.Merge(MakeKeyedWindow(k, 700.0, 3.2, 4, 1000000));
+    SlidingWindowSampler rebuilt = Rebuilt(merged);
+    ExpectSameContinuation(merged, rebuilt, 50 + k);
+  }
+}
+
+TEST(WindowTopCache, FrameMergedSamplerContinuesLikeItsOwnFrame) {
+  for (size_t k : {2u, 32u, 128u}) {
+    SCOPED_TRACE(k);
+    SlidingWindowSampler merged = MakeKeyedWindow(k, 900.0, 3.0, 5, 0);
+    const std::string frame_b =
+        MakeKeyedWindow(k, 500.0, 3.1, 6, 1000000).SerializeToString();
+    const std::string frame_c =
+        MakeKeyedWindow(k, 1200.0, 2.9, 7, 2000000).SerializeToString();
+    const std::vector<std::string_view> frames{frame_b, frame_c};
+    ASSERT_TRUE(merged.MergeManyFrames(frames));
+    SlidingWindowSampler rebuilt = Rebuilt(merged);
+    ExpectSameContinuation(merged, rebuilt, 60 + k);
+  }
+}
+
+TEST(WindowTopCache, TiedMaximumEvictsTheEarlierEntry) {
+  // HandcraftedWindowFrame stores RNG state {1, 2, 3, 4}; p is the
+  // priority the next arrival draws.
+  Xoshiro256 probe;
+  probe.SetState({1, 2, 3, 4});
+  const double p = probe.NextDoubleOpenZero();
+  ASSERT_LT(p, 1.0);
+  const double tie = (1.0 + p) / 2.0;
+  const std::string frame = HandcraftedWindowFrame(
+      3, 1.0, 9.5,
+      {{1, 9.1, tie, 1.0}, {2, 9.2, p / 2.0, 1.0}, {3, 9.3, tie, 1.0}}, {});
+  auto sampler = SlidingWindowSampler::Deserialize(std::string_view(frame));
+  ASSERT_TRUE(sampler.has_value());
+  // m1 == m2 == tie > p: the newcomer is accepted at threshold tie and
+  // the first of the two tied maxima (id 1) is evicted.
+  ASSERT_TRUE(sampler->Arrive(9.6, 4));
+  const auto items = sampler->CurrentItems(9.6);
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(items[0].id, 2u);
+  EXPECT_EQ(items[1].id, 3u);
+  EXPECT_EQ(items[2].id, 4u);
+  EXPECT_EQ(items[2].priority, p);
+  for (const auto& it : items) EXPECT_EQ(it.threshold, tie);
 }
 
 // ----------------------------------------------------------------------
