@@ -7,6 +7,9 @@
 //   ./build/bench/bench_window --json=BENCH_window.json
 //
 // Headline comparisons:
+//   * BM_WindowArrive/k and BM_WindowArriveSpike/128 -- full-sample
+//     arrivals: rejects hit the top-priority cache, accepts tombstone
+//     the evictee (see sliding_window.h).
 //   * BM_DecayAddScalar/k vs BM_DecayAddBatch/k -- the fused log-key
 //     column + block-prefiltered batch path vs per-item Add on the
 //     saturated decayed stream.
@@ -36,6 +39,7 @@
 #include "ats/samplers/sharded_time_axis.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
+#include "ats/workload/arrivals.h"
 
 namespace ats {
 namespace {
@@ -65,12 +69,33 @@ void BM_WindowArrive(benchmark::State& state) {
 // 128 is the per-shard k of the window-dashboard pipeline workload.
 BENCHMARK(BM_WindowArrive)->Arg(64)->Arg(128)->Arg(512);
 
+// One window-dashboard shard's stream: 312.5 arrivals/s (the workload's
+// 2500/s over 8 shards) with a 6x spike over [3, 4), a one-unit window,
+// six units of stream. About 41% of the arrivals are stored, and 22%
+// of all arrivals are stored by an eviction at a full sample, so this
+// is the eviction path's bench; after the spike the burst's samples
+// expire together and the sample runs underfull.
+void BM_WindowArriveSpike(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  ArrivalProcess process(RateProfile::WithSpike(312.5, 3.0, 4.0, 6.0),
+                         312.5 * 6.0, 7);
+  const std::vector<Arrival> arrivals = process.Until(6.0);
+  for (auto _ : state) {
+    SlidingWindowSampler sampler(k, 1.0, 42);
+    for (const Arrival& a : arrivals) sampler.Arrive(a.time, a.id);
+    benchmark::DoNotOptimize(sampler.StoredCount(6.0));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(arrivals.size()));
+}
+BENCHMARK(BM_WindowArriveSpike)->Arg(128);
+
 // The rate == k operating point: arrivals spaced window/k apart, so the
 // window holds ~k items, the sample never saturates (every arrival is
 // accepted) and nearly every arrival expires exactly one predecessor.
-// This is the dead-prefix reclamation hot path (CleanupDeadPrefix, one
-// ranged erase per column) -- the regime where the classic deque-backed
-// G&L design wins on O(1) physical front-pops, which
+// This is the dead-prefix reclamation hot path (Reclaim, one filtered
+// pass over the columns per k expiries) -- the regime where the classic
+// deque-backed G&L design wins on O(1) physical front-pops, which
 // BM_WindowArriveBoundaryDequeRef below reproduces as the baseline the
 // column-backed sampler must stay at parity with.
 void BM_WindowArriveBoundary(benchmark::State& state) {

@@ -40,9 +40,9 @@ SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
       last_time_(-std::numeric_limits<double>::infinity()) {
   ATS_CHECK(k >= 1);
   ATS_CHECK(window > 0.0);
-  // The columns hold at most k live plus k dead-prefix entries (see
-  // ExpireUntil). Capacity k is a logical limit from the wire, so the
-  // eager reservation is bounded.
+  // The columns hold at most 2k entries: k live plus fewer than k dead
+  // or tombstoned ones (see Reclaim). Capacity k is a logical limit from
+  // the wire, so the eager reservation is bounded.
   const size_t reserve = std::min(2 * k, internal::kMaxEagerReserve);
   priority_.reserve(reserve);
   id_.reserve(reserve);
@@ -50,23 +50,103 @@ SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
   threshold_.reserve(reserve);
 }
 
-void SlidingWindowSampler::CleanupDeadPrefix() {
-  if (dead_prefix_ == 0) return;
+void SlidingWindowSampler::SettleRange(double* t, size_t n,
+                                       double pending) {
+  double suffix_min = 1.0;
+  while (n > 0 && !(t[n - 1] > 0.0)) {
+    --n;
+    suffix_min = std::min(suffix_min, -t[n]);
+    t[n] = suffix_min;
+  }
+  const double p = std::abs(pending);
+  if (p < 1.0) {
+    for (size_t i = 0; i < n; ++i) t[i] = std::min(t[i], p);
+  }
+}
+
+std::vector<double> SlidingWindowSampler::LiveThresholds() const {
+  std::vector<double> out(
+      threshold_.begin() + static_cast<std::ptrdiff_t>(dead_prefix_),
+      threshold_.end());
+  SettleRange(out.data(), out.size(), pending_);
+  return out;
+}
+
+void SlidingWindowSampler::ExpireDirtyUntil(double cutoff) {
+  while (dead_prefix_ < time_.size() && time_[dead_prefix_] <= cutoff) {
+    double& t = threshold_[dead_prefix_];
+    if (!(t > 0.0)) {
+      Reclaim();  // every live threshold is positive afterwards
+      continue;
+    }
+    t = std::min(t, std::abs(pending_));
+    tombstones_ -= priority_[dead_prefix_] == kTombstone;
+    TopErase(dead_prefix_, priority_[dead_prefix_]);  // no-op for a tombstone
+    ++dead_prefix_;
+  }
+  if (dead_prefix_ + tombstones_ >= k_) Reclaim();
+}
+
+void SlidingWindowSampler::Reclaim() {
+  // Settled first: the compaction below drops tombstones, whose initial
+  // thresholds a lazy suffix still needs. Afterwards the range is clean.
+  if (pending_ < 1.0) {
+    SettleRange(threshold_.data() + dead_prefix_,
+                threshold_.size() - dead_prefix_, pending_);
+    pending_ = 1.0;
+  }
+  if (dead_prefix_ == 0 && tombstones_ == 0) return;
   // The dead entries are a physical prefix, in time order, and OLDER
   // than everything already in expired_ was when it was copied -- so the
-  // bulk copy appends in time order, and the reclamation is one ranged
-  // erase (a memmove) per column. Batching the copy here (instead of
+  // bulk copy appends in time order. Batching the copy here (instead of
   // copying item-by-item as each expires) is what keeps the rate == k
   // boundary at parity with a deque front-pop design (bench_window.cc,
   // BM_WindowArriveBoundary).
   expired_.reserve(expired_.size() + dead_prefix_);
-  for (size_t i = 0; i < dead_prefix_; ++i) expired_.push_back(ItemAt(i));
-  const auto n = static_cast<std::ptrdiff_t>(dead_prefix_);
-  priority_.erase(priority_.begin(), priority_.begin() + n);
-  id_.erase(id_.begin(), id_.begin() + n);
-  time_.erase(time_.begin(), time_.begin() + n);
-  threshold_.erase(threshold_.begin(), threshold_.begin() + n);
+  for (size_t i = 0; i < dead_prefix_; ++i) {
+    if (priority_[i] != kTombstone) expired_.push_back(ItemAt(i));
+  }
+  if (tombstones_ == 0) {
+    // Only the dead prefix goes: one ranged erase (a memmove) per column.
+    const auto n = static_cast<std::ptrdiff_t>(dead_prefix_);
+    priority_.erase(priority_.begin(), priority_.begin() + n);
+    id_.erase(id_.begin(), id_.begin() + n);
+    time_.erase(time_.begin(), time_.begin() + n);
+    threshold_.erase(threshold_.begin(), threshold_.begin() + n);
+    for (uint32_t j = 0; j < top_count_; ++j) top_[j] -= dead_prefix_;
+  } else {
+    // Compact the live range to the front, dropping tombstones: every
+    // entry is copied and the write cursor advances past live ones
+    // only. A cached entry is live, so the cursor is its new position;
+    // the pass meets the cached positions in ascending order.
+    uint32_t by_pos[kTopCache];
+    for (uint32_t j = 0; j < top_count_; ++j) {
+      uint32_t m = j;
+      for (; m > 0 && top_[by_pos[m - 1]] > top_[j]; --m) {
+        by_pos[m] = by_pos[m - 1];
+      }
+      by_pos[m] = j;
+    }
+    uint32_t next = 0;
+    size_t out = 0;
+    for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
+      const double p = priority_[i];
+      priority_[out] = p;
+      id_[out] = id_[i];
+      time_[out] = time_[i];
+      threshold_[out] = threshold_[i];
+      if (next < top_count_ && top_[by_pos[next]] == i) {
+        top_[by_pos[next++]] = out;
+      }
+      out += p != kTombstone;
+    }
+    priority_.resize(out);
+    id_.resize(out);
+    time_.resize(out);
+    threshold_.resize(out);
+  }
   dead_prefix_ = 0;
+  tombstones_ = 0;
   ++epoch_;
 }
 
@@ -78,46 +158,76 @@ void SlidingWindowSampler::EraseDroppedExpired() {
 
 void SlidingWindowSampler::FlushExpiry(double now) {
   ExpireUntil(now);
-  CleanupDeadPrefix();
+  Reclaim();
   // Entries that aged past two windows while parked in the dead prefix
   // reached expired_ only in the extraction above; one more drop scan
   // makes the exposed expired set exact.
   DropExpired();
 }
 
-void SlidingWindowSampler::InsertBounded(double* top, size_t& count,
-                                         double p) {
-  size_t n = count;
+void SlidingWindowSampler::InsertBounded(const double* priorities,
+                                         size_t* top, uint32_t& count,
+                                         size_t pos, double p) {
+  uint32_t n = count;
   if (n == kTopCache) {
-    if (!(p > top[n - 1])) return;
+    if (!(p > priorities[top[n - 1]])) return;
     --n;  // the smallest cached entry falls out of the prefix
   }
-  const size_t grown = n + 1;
-  while (n > 0 && top[n - 1] < p) {
+  const uint32_t grown = n + 1;
+  while (n > 0 && priorities[top[n - 1]] < p) {
     top[n] = top[n - 1];
     --n;
   }
-  top[n] = p;
+  top[n] = pos;
   count = grown;
 }
 
-void SlidingWindowSampler::EraseCached(double q) {
-  size_t j = top_count_ - 1;
-  while (top_[j] != q) {
-    ATS_DCHECK(j > 0);
-    --j;
-  }
+void SlidingWindowSampler::EraseCached(size_t pos) {
+  uint32_t j = 0;
+  while (j < top_count_ && top_[j] != pos) ++j;
+  if (j == top_count_) return;
   for (; j + 1 < top_count_; ++j) top_[j] = top_[j + 1];
   --top_count_;
 }
 
+uint32_t SlidingWindowSampler::CollectTop(double bound, size_t* top) const {
+  uint32_t count = 0;
+  const double* const p = priority_.data();
+  const size_t end = priority_.size();
+  const auto prefilter = simd::ActiveKernels().prefilter_mask64;
+  size_t i = dead_prefix_;
+  for (; i + internal::kIngestBlock <= end; i += internal::kIngestBlock) {
+    // Once the prefix is full, nothing below its minimum can enter.
+    const double b =
+        count == kTopCache ? std::max(bound, p[top[count - 1]]) : bound;
+    for (uint64_t take = ~prefilter(p + i, b); take != 0; take &= take - 1) {
+      const size_t pos = i + static_cast<size_t>(std::countr_zero(take));
+      InsertBounded(p, top, count, pos, p[pos]);
+    }
+  }
+  for (; i < end; ++i) {
+    if (!(p[i] < bound)) InsertBounded(p, top, count, i, p[i]);
+  }
+  return count;
+}
+
 void SlidingWindowSampler::RefillTopCache() {
-  // A local prefix the scan can keep in registers (the members could
-  // alias the column as far as the compiler knows).
-  double top[kTopCache] = {};
-  size_t count = 0;
-  for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
-    InsertBounded(top, count, priority_[i]);
+  size_t top[kTopCache];
+  uint32_t count = 0;
+  // While the largest live priority is still cached, the others spread
+  // below it, so a first pass admits only entries at or above a guess
+  // 16 average gaps under it (the kTopCache largest are there unless
+  // the spread is very uneven). The guess only sets the cost: if fewer
+  // than kTopCache entries clear it, the full pass runs.
+  if (top_count_ == 1) {
+    const double guess =
+        TopPriority(0) * (1.0 - 16.0 / static_cast<double>(LiveCount()));
+    if (guess > 0.0) count = CollectTop(guess, top);
+  }
+  // The full pass: every live priority clears the smallest positive
+  // double, and no tombstone does.
+  if (count < kTopCache) {
+    count = CollectTop(std::numeric_limits<double>::denorm_min(), top);
   }
   std::copy(top, top + count, top_);
   top_count_ = count;
@@ -125,12 +235,13 @@ void SlidingWindowSampler::RefillTopCache() {
 
 namespace {
 
-// Index of the first entry >= `value`, which must exist. Full 64-entry
-// blocks go through the dispatched `priority < bound` compare kernel:
-// the first clear bit is the answer.
-size_t FindFirstAtLeast(const std::vector<double>& column, double value) {
+// Index of the first entry at or after `from` that is >= `value`, which
+// must exist. Full 64-entry blocks go through the dispatched
+// `priority < bound` compare kernel: the first clear bit is the answer.
+size_t FindFirstAtLeast(const std::vector<double>& column, size_t from,
+                        double value) {
   const double* p = column.data();
-  size_t i = 0;
+  size_t i = from;
   for (; i + internal::kIngestBlock <= column.size();
        i += internal::kIngestBlock) {
     const uint64_t below = simd::ActiveKernels().prefilter_mask64(p + i, value);
@@ -144,41 +255,54 @@ size_t FindFirstAtLeast(const std::vector<double>& column, double value) {
 
 }  // namespace
 
-bool SlidingWindowSampler::ArriveAtFullSample(double time, double priority,
-                                              uint64_t id) {
+bool SlidingWindowSampler::ArriveOutOfLine(double time, double priority,
+                                           uint64_t id) {
+  const size_t live = LiveCount();
+  if (live < k_) {
+    // Underfull with updates pending: the newcomer is stored lazily.
+    if (!(priority < 1.0)) return false;
+    TopInsert(priority_.size(), priority, live);
+    Append(priority, id, time, StoredThreshold(1.0));
+    ++epoch_;
+    return true;
+  }
   // Initial threshold at a full sample: the k-th smallest of the k
   // current priorities together with the new one. With m1 the largest
   // and m2 the second largest current priority, that is m1 if the
   // newcomer is above m1, otherwise max(m2, priority). Both come from
   // the top cache, refilled by one scan when it runs low.
-  const size_t live = priority_.size() - dead_prefix_;
   if (top_count_ < 2 && top_count_ < live) RefillTopCache();
-  const double m1 = top_[0];
-  const double m2 = top_count_ >= 2 ? top_[1] : 0.0;
+  const double m1 = TopPriority(0);
+  const double m2 = top_count_ >= 2 ? TopPriority(1) : 0.0;
   const double initial_threshold =
       priority >= m1 ? m1 : std::max(m2, priority);
   if (priority >= initial_threshold) return false;
 
   // The insertion will push |C| above k: lower every current threshold
-  // to min(T_i, T_n) and evict the first largest-priority item (m1; its
-  // priority is >= the new threshold). Both run on the physically clean
-  // columns (evictions are O(k) anyway, so the deferred prefix cleanup
-  // rides along): the dead prefix reaches expired_ with its thresholds
-  // as they were when it expired.
-  CleanupDeadPrefix();
-  for (double& t : threshold_) t = std::min(t, initial_threshold);
-  // m1 is the live maximum, so the first entry >= m1 is the first one
-  // equal to it.
-  const auto evict =
-      static_cast<std::ptrdiff_t>(FindFirstAtLeast(priority_, m1));
-  ATS_DCHECK(static_cast<size_t>(evict) < priority_.size());
-  TopErase(m1);
-  priority_.erase(priority_.begin() + evict);
-  id_.erase(id_.begin() + evict);
-  time_.erase(time_.begin() + evict);
-  threshold_.erase(threshold_.begin() + evict);
-  TopInsert(priority, priority_.size());
-  Append(priority, id, time, initial_threshold);
+  // to min(T_i, T_n) -- recorded in pending_ once the newcomer is in (see
+  // "Lazy thresholds"; the dead prefix keeps the thresholds frozen at
+  // expiry) -- and evict the first largest-priority item (m1; its
+  // priority is >= the new threshold).
+  //
+  // The evictee is the first live entry with priority m1. A unique
+  // maximum is cached at top_[0]; a tie at the maximum (which may leave
+  // a copy uncached) takes the scan: m1 is the live maximum, so the first
+  // live entry >= m1 is the first one equal to it, and tombstones are
+  // below m1 and never match.
+  const size_t evict =
+      m1 != m2 ? top_[0] : FindFirstAtLeast(priority_, dead_prefix_, m1);
+  ATS_DCHECK(evict < priority_.size());
+  EraseCached(evict);
+  priority_[evict] = kTombstone;
+  ++tombstones_;
+  if (SlackFull()) Reclaim();
+  Append(priority, id, time, StoredThreshold(initial_threshold));
+  // The update applies to the settled prefix (its sign is the lazy
+  // suffix's); the newcomer carries it as its initial threshold. Below
+  // 1.0 it also marks the tombstone just made.
+  pending_ = std::copysign(std::min(std::abs(pending_), initial_threshold),
+                           pending_);
+  TopInsert(priority_.size() - 1, priority, live - 1);
   ++epoch_;
   return true;
 }
@@ -260,15 +384,19 @@ SlidingWindowSampler::WindowSnapshot SlidingWindowSampler::SnapshotAt(
   }
   // Dead-prefix entries are logically expired items not yet copied into
   // expired_ (see ExpireUntil); they belong to the expired region.
+  // Tombstones (evicted entries) belong to neither region.
   for (size_t i = 0; i < dead_prefix_; ++i) {
     const StoredItem it = ItemAt(i);
-    if (it.time > cut_drop && it.time <= cut_window) {
+    if (it.priority != kTombstone && it.time > cut_drop &&
+        it.time <= cut_window) {
       snap.expired.push_back(it);
     }
   }
+  const std::vector<double> thresholds = LiveThresholds();
   for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
-    const StoredItem it = ItemAt(i);
-    if (it.time <= cut_drop) continue;
+    StoredItem it = ItemAt(i);
+    if (it.priority == kTombstone || it.time <= cut_drop) continue;
+    it.threshold = thresholds[i - dead_prefix_];
     (it.time <= cut_window ? snap.expired : snap.current).push_back(it);
   }
   return snap;
@@ -420,6 +548,7 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
   // live expired_ range plus the uncopied dead prefix, each filtered at
   // the two-window drop cutoff (entries can age past it while parked;
   // the reader's per-entry range validation rejects them otherwise).
+  // Tombstones are skipped in both column regions.
   const double drop_cut = last_time_ - 2.0 * window_;
   const auto expired_live = ExpiredItems();
   size_t skip_expired = 0;
@@ -431,17 +560,25 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
   while (skip_dead < dead_prefix_ && time_[skip_dead] <= drop_cut) {
     ++skip_dead;
   }
-  w.WriteU64(priority_.size() - dead_prefix_);
+  const size_t dead_tombstones = static_cast<size_t>(
+      std::count(priority_.begin() + static_cast<std::ptrdiff_t>(skip_dead),
+                 priority_.begin() + static_cast<std::ptrdiff_t>(dead_prefix_),
+                 kTombstone));
+  w.WriteU64(LiveCount());
   w.WriteU64((expired_live.size() - skip_expired) +
-             (dead_prefix_ - skip_dead));
+             (dead_prefix_ - skip_dead - dead_tombstones));
   const auto write_entry = [&w](const StoredItem& it) {
     w.WriteU64(it.id);
     w.WriteDouble(it.time);
     w.WriteDouble(it.priority);
     w.WriteDouble(it.threshold);
   };
+  const std::vector<double> thresholds = LiveThresholds();
   for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
-    write_entry(ItemAt(i));
+    if (priority_[i] == kTombstone) continue;
+    StoredItem it = ItemAt(i);
+    it.threshold = thresholds[i - dead_prefix_];
+    write_entry(it);
   }
   // Expired region in time order: expired_ entries predate everything
   // still parked in the dead prefix.
@@ -449,7 +586,7 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
     write_entry(expired_live[i]);
   }
   for (size_t i = skip_dead; i < dead_prefix_; ++i) {
-    write_entry(ItemAt(i));
+    if (priority_[i] != kTombstone) write_entry(ItemAt(i));
   }
 }
 

@@ -25,18 +25,26 @@
 //
 // Storage layout: the current set C(t) is four parallel columns --
 // priority R_i, id, arrival time, and per-item threshold T_i -- always in
-// arrival (== time) order, so window expiry is a prefix and the eviction
-// min-update is one pass over a contiguous double column. The window does
+// arrival (== time) order, so window expiry is a prefix. The window does
 // not use SampleStore: its retention is by time and by the largest
 // priority, not by a bottom-k compaction.
 //
 // Per-arrival cost at a full sample: the initial threshold needs the two
 // largest live priorities. An exact cache of the kTopCache largest live
 // priorities (a descending multiset prefix) is maintained on every
-// insert, eviction and expiry, so a rejected arrival is O(1) and an
-// accepted one is one contiguous pass per column (min-update, evictee
-// lookup, erase). A merge or deserialize leaves the cache empty; one scan
-// refills it whenever fewer than two entries remain.
+// insert, eviction and expiry, so a rejected arrival is O(1). An accepted
+// one moves no column data: the cache names the evictee's position (a
+// tie at the maximum takes a SIMD scan), the evictee's priority becomes
+// a tombstone, the newcomer is appended, and the min-update of every
+// live threshold is recorded lazily in one scalar (see "Lazy
+// thresholds" below). Every accept that evicts a cached entry shrinks
+// the cache, and one scan refills it whenever fewer than two entries
+// remain (a merge or deserialize leaves it empty). Expired entries stay
+// parked in a dead column prefix. Once dead entries and tombstones
+// together reach k, one filtered pass copies the dead prefix into the
+// expired set, compacts the tombstones out and applies the pending
+// threshold updates, so the columns never hold more than 2k entries.
+// Every query path reclaims first and sees clean columns.
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
 // one stream, sharing the time axis, merge by min threshold composition
@@ -57,8 +65,11 @@
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -89,18 +100,23 @@ class SlidingWindowSampler {
   /// item was stored. The priority is drawn internally from Uniform(0,1).
   /// Thread-safety: mutating call -- external synchronization required.
   //
-  /// Defined inline: at the rate == k operating point the whole per-
+  /// Always inlined: at the rate == k operating point the whole per-
   /// arrival path is a handful of compares and four column push_backs,
   /// and the call overhead itself is measurable against the deque
-  /// baseline it is benchmarked against (BM_WindowArriveBoundary).
-  bool Arrive(double time, uint64_t id) {
+  /// baseline it is benchmarked against (BM_WindowArriveBoundary); the
+  /// compiler's size heuristic alone stops inlining it.
+  [[gnu::always_inline]] bool Arrive(double time, uint64_t id) {
     ExpireUntil(time);
     const double priority = rng_.NextDoubleOpenZero();
+    // A clean range has no tombstones, so this is the live count there.
     const size_t live = priority_.size() - dead_prefix_;
-    if (live >= k_) return ArriveAtFullSample(time, priority, id);
-    // Underfull: initial threshold 1, so R_n < 1 is the whole test.
+    if (live >= k_ || pending_ < 1.0) {
+      return ArriveOutOfLine(time, priority, id);
+    }
+    // Underfull and clean: initial threshold 1, so R_n < 1 is the whole
+    // test.
     if (!(priority < 1.0)) return false;
-    TopInsert(priority, live);
+    TopInsert(priority_.size(), priority, live);
     Append(priority, id, time, 1.0);
     ++epoch_;
     return true;
@@ -129,8 +145,9 @@ class SlidingWindowSampler {
 
   /// Live heap bytes of the windowed state (util/memory.h convention):
   /// the four current-set columns plus the expired column, including
-  /// the not-yet-extracted dead prefix and the not-yet-erased dropped
-  /// head (they occupy real bytes until the deferred cleanup runs).
+  /// the not-yet-extracted dead prefix, the not-yet-compacted
+  /// tombstones and the not-yet-erased dropped head (they occupy real
+  /// bytes until the deferred reclaim runs; each is below k entries).
   /// O(1), non-canonicalizing -- never advances expiry.
   size_t MemoryFootprint() const {
     return VectorFootprint(priority_) + VectorFootprint(id_) +
@@ -242,30 +259,58 @@ class SlidingWindowSampler {
   };
 
   // Size of the top-priority cache. Large enough that a refill scan is
-  // amortized over several accepted arrivals, small enough that the
-  // sampler fits the 280 bytes a concurrent shard slot leaves it.
-  static constexpr size_t kTopCache = 7;
+  // amortized over several accepted arrivals (an accept that evicts a
+  // cached entry shrinks it by one unless the newcomer joins), small
+  // enough that the sampler fits the 280 bytes a concurrent shard slot
+  // leaves it.
+  static constexpr size_t kTopCache = 6;
+
+  // Priority of an evicted entry still parked in the columns. Live
+  // priorities are open-unit-interval draws, so no live entry equals it,
+  // and it is below every cached priority and every eviction bound:
+  // the evictee lookup (first entry >= m1) and the top cache skip it
+  // without a test of their own.
+  static constexpr double kTombstone = 0.0;
+
+  // Entries in the live column range that are not tombstones: |C(t)|.
+  size_t LiveCount() const {
+    return priority_.size() - dead_prefix_ - tombstones_;
+  }
+
+  // True once the dead prefix and the tombstones together reach k (the
+  // Reclaim trigger), or the 32-bit tombstone count is about to wrap --
+  // which a k below 2^32 never reaches first.
+  bool SlackFull() const {
+    return dead_prefix_ + tombstones_ >= k_ ||
+           tombstones_ == std::numeric_limits<uint32_t>::max();
+  }
 
   // The expiry hot path: pure MARKING. Entries leaving the window only
   // advance dead_prefix_ (no copy, no pop -- they stay parked in the
-  // column prefix); entries of expired_ aging past two windows only
-  // advance expired_head_. The physical work (copying the dead prefix
-  // into expired_, erasing both prefixes) is batched into
-  // CleanupDeadPrefix / EraseDroppedExpired at every k-th marking, so one
-  // arrival at the rate == k boundary costs two compares, two
-  // increments and a top-cache check here -- the regime where the
-  // classic deque design's O(1) pop_front used to win
+  // column prefix; a tombstone leaves the live tombstone count);
+  // entries of expired_ aging past two windows only advance
+  // expired_head_. The physical work (copying the dead prefix into
+  // expired_, compacting the columns, erasing the dropped head) is
+  // batched into Reclaim / EraseDroppedExpired once k entries are
+  // waiting, so one arrival at the rate == k boundary costs the clean
+  // test, two compares, two increments and a top-cache check here -- the
+  // regime where the classic deque design's O(1) pop_front used to win
   // (BM_WindowArriveBoundary).
   void ExpireUntil(double now) {
     if (now > last_time_) last_time_ = now;
     const double cutoff = last_time_ - window_;
     if (dead_prefix_ < time_.size() && time_[dead_prefix_] <= cutoff) {
       ++epoch_;
-      do {
-        TopErase(priority_[dead_prefix_]);
-        ++dead_prefix_;
-      } while (dead_prefix_ < time_.size() && time_[dead_prefix_] <= cutoff);
-      if (dead_prefix_ >= k_) CleanupDeadPrefix();
+      if (pending_ < 1.0) {
+        ExpireDirtyUntil(cutoff);
+      } else {
+        do {
+          TopErase(dead_prefix_, priority_[dead_prefix_]);
+          ++dead_prefix_;
+        } while (dead_prefix_ < time_.size() &&
+                 time_[dead_prefix_] <= cutoff);
+        if (dead_prefix_ >= k_) Reclaim();  // no tombstones when clean
+      }
     }
     DropExpired();
   }
@@ -296,68 +341,142 @@ class SlidingWindowSampler {
 
   // --- Top-priority cache ---
   //
-  // Invariant: top_[0, top_count_) holds the top_count_ largest live
-  // priorities (columns past the dead prefix) as a multiset, in
-  // descending order. An empty cache is always valid, which is how a
-  // merge or deserialize invalidates it.
+  // Invariant: the priorities at the column positions top_[0, top_count_)
+  // are the top_count_ largest live priorities (columns past the dead
+  // prefix, tombstones excluded) as a multiset, in descending order, and
+  // equal priorities sit in ascending position order. So when the two
+  // largest differ, top_[0] is the evictee. An empty cache is always
+  // valid, which is how a merge or deserialize invalidates it.
 
-  // Inserts p into the descending prefix top[0, count) holding at most
-  // kTopCache entries; a full prefix drops its smallest entry for a
-  // larger p and ignores a p that is not larger.
-  static void InsertBounded(double* top, size_t& count, double p);
+  double TopPriority(size_t j) const { return priority_[top_[j]]; }
 
-  // Records that live priority p was added to a live set of `live`
-  // entries. The cache covers the whole set when top_count_ == live;
-  // otherwise p joins only if it is not below the cached prefix. Only
-  // the tests are inline: the arrival path rarely changes the cache.
-  void TopInsert(double p, size_t live) {
+  // Inserts column position `pos`, of priority p, into the descending
+  // prefix top[0, count) holding at most kTopCache positions; a full
+  // prefix drops its smallest entry for a larger priority and ignores
+  // one that is not larger. Scanning positions in ascending order keeps
+  // ties in ascending order.
+  static void InsertBounded(const double* priorities, size_t* top,
+                            uint32_t& count, size_t pos, double p);
+
+  // Records that the entry about to be appended at `pos`, of priority
+  // p, joins a live set of `live` entries. The cache covers the whole
+  // set when top_count_ == live; otherwise the entry joins only if its
+  // priority is not below the cached prefix. Only the tests are inline:
+  // the arrival path rarely changes the cache.
+  void TopInsert(size_t pos, double p, size_t live) {
     const size_t n = top_count_;
-    if (n == kTopCache ? p > top_[n - 1]
-                       : n == live || (n != 0 && !(p < top_[n - 1]))) {
-      InsertBounded(top_, top_count_, p);
+    if (n == kTopCache ? p > TopPriority(n - 1)
+                       : n == live || (n != 0 && !(p < TopPriority(n - 1)))) {
+      InsertBounded(priority_.data(), top_, top_count_, pos, p);
     }
   }
 
-  // Records that live priority q left the live set. A value at or above
-  // the cached minimum is (a copy of) a cached entry, so one copy goes.
-  void TopErase(double q) {
-    if (top_count_ != 0 && !(q < top_[top_count_ - 1])) EraseCached(q);
+  // Records that the entry at `pos`, of priority q, left the live set.
+  // Only a priority at or above the cached minimum can be cached.
+  void TopErase(size_t pos, double q) {
+    if (top_count_ != 0 && !(q < TopPriority(top_count_ - 1))) {
+      EraseCached(pos);
+    }
   }
-  void EraseCached(double q);
+  // Drops `pos` from the cache if it is there (an entry tied with the
+  // cached minimum need not be).
+  void EraseCached(size_t pos);
 
-  // One scan over the live priorities refills the cache.
+  // Collects into top[] the positions of the (at most kTopCache)
+  // largest live priorities at or above `bound`, ties in ascending
+  // position; returns how many.
+  uint32_t CollectTop(double bound, size_t* top) const;
+  // Refills the cache from the live priorities: a guessed narrow pass
+  // when the maximum is known, else (or if that falls short) a full one.
   void RefillTopCache();
 
-  // Appends one entry to the four current-set columns.
+  // --- Lazy thresholds ---
+  //
+  // An accept at a full sample lowers every live threshold to
+  // min(T_i, T_n). Instead of a pass over the column, the update is
+  // recorded in O(1), using two facts: T_i is the min of i's initial
+  // threshold and those of the full-sample accepts after it, and the
+  // live range splits into a settled prefix and a lazy suffix:
+  //  * a settled entry stores +T and its threshold is min(T, P), where
+  //    P = |pending_| is the min of the updates since the last settle;
+  //  * a lazy entry (appended when P would have lowered it) stores
+  //    -T_init and its threshold is the min of the initial thresholds
+  //    from it to the end of the columns (tombstones included: an
+  //    evicted entry's update stays applied).
+  // pending_ is negative while a lazy suffix exists, and 1.0 -- its
+  // largest value, so `pending_ < 1.0` is the dirty test -- only when
+  // the live range is CLEAN: all settled, nothing pending, no tombstone
+  // (only Reclaim, which compacts, makes it so). Clean is the underfull
+  // regime's steady state, so its appends and expiries run inline as
+  // plain column pushes and index advances; everything else runs out of
+  // line. An expiring entry's threshold is frozen as it leaves the live
+  // range (dead entries store their final threshold), and when the
+  // front reaches the lazy suffix the range is reclaimed, which settles
+  // it. Readers of live thresholds either flush first or use
+  // LiveThresholds().
+
+  // Appends one entry to the four current-set columns; `threshold` is
+  // its stored threshold (equal to the initial one in a clean range).
   void Append(double priority, uint64_t id, double time, double threshold) {
     priority_.push_back(priority);
     id_.push_back(id);
     time_.push_back(time);
     threshold_.push_back(threshold);
   }
+  // The stored form of a new entry's initial threshold. It joins the
+  // settled prefix when P would not lower it (the pending updates all
+  // came before it) and no lazy suffix exists (pending_ < 0 then);
+  // otherwise it begins or extends the lazy suffix.
+  double StoredThreshold(double threshold) {
+    if (pending_ >= threshold) return threshold;
+    pending_ = -std::abs(pending_);
+    return -threshold;
+  }
 
-  // The saturated-sample arrival path: O(1) threshold from the top
-  // cache, then, if accepted, the min-update and eviction. Out of line
-  // -- only the underfull path above is latency-critical per arrival,
-  // and keeping Arrive small keeps it inlined into callers' loops.
-  bool ArriveAtFullSample(double time, double priority, uint64_t id);
+  // ExpireUntil's loop for a range that is not clean: freezes each
+  // expiring threshold and counts tombstones out of the live range. A
+  // front in the lazy suffix means the settled prefix is all dead: it
+  // reclaims, which settles the range and moves the front.
+  void ExpireDirtyUntil(double cutoff);
+
+  // Rewrites t[0, n), a settled prefix then a lazy suffix, as the
+  // thresholds they stand for under pending P.
+  static void SettleRange(double* t, size_t n, double pending);
+  // The thresholds of the live range [dead_prefix_, end), in order,
+  // without settling it.
+  std::vector<double> LiveThresholds() const;
+
+  // The arrival path for a full sample -- O(1) threshold from the top
+  // cache, then, if accepted, the tombstoning eviction and the lazily
+  // recorded min-update -- and for an underfull one whose newcomer must
+  // be stored lazily. Out of line: only the clean underfull path above
+  // is latency-critical per arrival (the rate == k boundary).
+  bool ArriveOutOfLine(double time, double priority, uint64_t id);
   // Expiry advance for QUERY paths: ExpireUntil plus the physical
-  // extraction, plus a re-drop -- items that aged past two windows while
+  // reclaim, plus a re-drop -- items that aged past two windows while
   // parked in the dead prefix surface in expired_ only at extraction
   // time, so one more head scan makes the exposed expired set exact.
+  // Afterwards the columns hold exactly C(t), with no dead prefix and
+  // no tombstones.
   void FlushExpiry(double now);
-  // Stored item i reassembled from the parallel columns.
+  // Stored item i reassembled from the parallel columns. Its threshold
+  // is the stored one: final for a dead entry, and for a live one only
+  // once the range is settled.
   StoredItem ItemAt(size_t i) const {
     return StoredItem{id_[i], time_[i], priority_[i], threshold_[i]};
   }
-  // Physically extracts the dead (logically expired) column prefix:
-  // bulk-copies it into expired_, then erases it from the columns.
-  // Amortized O(1) per expired item: runs when the prefix reaches k, or
-  // piggybacks on paths that are O(k) anyway (queries, evictions,
-  // merges, never the accept path of the boundary regime).
-  void CleanupDeadPrefix();
+  // One filtered pass over the columns: copies the dead (logically
+  // expired) prefix into expired_ and compacts the live range, both
+  // skipping tombstones; pending threshold updates are settled first,
+  // and cached positions move with their entries. Amortized O(1) per
+  // expiry or eviction: runs when the dead prefix and the tombstones
+  // together reach k, or on paths that are O(k) anyway (queries,
+  // merges).
+  void Reclaim();
   std::vector<SampleEntry> SampleWithThreshold(double threshold) const;
-  // Improved threshold over the columns as-is (no expiry advance).
+  // Improved threshold over the columns as-is (no expiry advance); they
+  // must be reclaimed first (no dead prefix, tombstones or pending
+  // updates).
   double CurrentMinThreshold() const;
   // Snapshot of a (possibly lazily expired) sampler at global time `now`.
   WindowSnapshot SnapshotAt(double now) const;
@@ -378,7 +497,7 @@ class SlidingWindowSampler {
   std::vector<double> threshold_;
   // Leading column entries that have logically expired but are not yet
   // copied into expired_ or physically extracted; every column reader
-  // starts past this index. See ExpireUntil / CleanupDeadPrefix.
+  // starts past this index. See ExpireUntil / Reclaim.
   size_t dead_prefix_ = 0;
   // Expired items X(t), ordered by time; the live range starts at
   // expired_head_ (dropped entries are marked, then batch-erased -- same
@@ -389,9 +508,17 @@ class SlidingWindowSampler {
   double last_time_;
   // Observable-mutation counter; see mutation_epoch().
   uint64_t epoch_ = 0;
-  // The top-priority cache; see TopInsert.
-  double top_[kTopCache] = {};
-  size_t top_count_ = 0;
+  // Signed min of the full-sample updates not yet applied to the
+  // settled prefix; 1.0 iff the live range is clean. See "Lazy
+  // thresholds".
+  double pending_ = 1.0;
+  // The top-priority cache (column positions); see TopInsert.
+  size_t top_[kTopCache] = {};
+  uint32_t top_count_ = 0;
+  // Tombstoned (evicted) entries in the live range [dead_prefix_, end);
+  // a tombstone that expires counts in dead_prefix_ instead. 32 bits so
+  // it shares a word with top_count_ (see SlackFull for the cap).
+  uint32_t tombstones_ = 0;
 };
 
 static_assert(MergeableSketch<SlidingWindowSampler>);

@@ -25,6 +25,7 @@
 #include "ats/sketch/kmv.h"
 #include "ats/sketch/lcs_merge.h"
 #include "ats/sketch/theta.h"
+#include "ats/workload/arrivals.h"
 
 namespace ats {
 namespace {
@@ -157,6 +158,27 @@ TEST(MemoryFootprint, SamplerFamiliesReportGrowthUnderIngest) {
   // accounting must see the evictions.
   strat.ShrinkToBudget(3 * 8);
   EXPECT_LT(strat.MemoryFootprint(), full);
+}
+
+// Deferred reclamation cannot grow the window's state without limit: the
+// columns hold at most 2k slots (k live plus fewer than k expired or
+// evicted ones awaiting the batched reclaim) and the expired column at
+// most 2k (the expired set plus its not-yet-erased dropped head). The
+// stream is the window-dashboard shard's rate profile scaled to k, so
+// the 6x spike over [3, 4) saturates the sample and evicts heavily.
+TEST(MemoryFootprint, SlidingWindowStaysWithinFourKEntriesUnderASpike) {
+  for (const size_t k : {size_t{2}, size_t{32}, size_t{128}}) {
+    const double rate = 312.5 * static_cast<double>(k) / 128.0;
+    SlidingWindowSampler window(k, /*window=*/1.0, 11);
+    ArrivalProcess process(RateProfile::WithSpike(rate, 3.0, 4.0, 6.0),
+                           rate * 6.0, 13);
+    const size_t bound = 4 * k * sizeof(SlidingWindowSampler::StoredItem);
+    for (const Arrival& a : process.Until(8.0)) {
+      window.Arrive(a.time, a.id);
+      ASSERT_LE(window.MemoryFootprint(), bound)
+          << "k " << k << " t " << a.time;
+    }
+  }
 }
 
 TEST(MemoryFootprint, FrontEndsSumTheirShards) {

@@ -6,6 +6,7 @@
 // sequential pairwise-Merge chain (including empty windows, all-expired
 // stores, and k = 1) -- mirroring merge_many_test.cc for the sketches.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -102,6 +103,13 @@ class ReferenceWindowSampler {
     return {current_.begin(), current_.end()};
   }
 
+  // The expired items X(now), oldest first, with the thresholds they
+  // had when they left the window.
+  std::vector<StoredItem> ExpiredItems(double now) {
+    ExpireUntil(now);
+    return {expired_.begin(), expired_.end()};
+  }
+
  private:
   void ExpireUntil(double now) {
     while (!current_.empty() && current_.front().time <= now - window_) {
@@ -121,15 +129,41 @@ class ReferenceWindowSampler {
   std::deque<StoredItem> expired_;
 };
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Field-by-field, bit for bit.
 void ExpectSameItems(const std::vector<SlidingWindowSampler::StoredItem>& a,
                      const std::vector<SlidingWindowSampler::StoredItem>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id) << i;
-    EXPECT_DOUBLE_EQ(a[i].time, b[i].time) << i;
-    EXPECT_DOUBLE_EQ(a[i].priority, b[i].priority) << i;
-    EXPECT_DOUBLE_EQ(a[i].threshold, b[i].threshold) << i;
+    EXPECT_EQ(Bits(a[i].time), Bits(b[i].time)) << i;
+    EXPECT_EQ(Bits(a[i].priority), Bits(b[i].priority)) << i;
+    EXPECT_EQ(Bits(a[i].threshold), Bits(b[i].threshold)) << i;
   }
+}
+
+// The current and expired regions of a sampler's SWN1 frame. Serializing
+// is const, so this reads the sampler's state as it stands, without the
+// reclaim every query path runs first.
+struct FrameRegions {
+  std::vector<SlidingWindowSampler::StoredItem> current;
+  std::vector<SlidingWindowSampler::StoredItem> expired;
+};
+
+FrameRegions RegionsOf(const SlidingWindowSampler& sampler) {
+  const std::string frame = sampler.SerializeToString();
+  const auto view = SlidingWindowSampler::DeserializeView(frame);
+  EXPECT_TRUE(view.has_value());
+  FrameRegions out;
+  if (!view) return out;
+  for (size_t i = 0; i < view->current_count(); ++i) {
+    out.current.push_back(view->entry(i));
+  }
+  for (size_t i = 0; i < view->expired_count(); ++i) {
+    out.expired.push_back(view->entry(view->current_count() + i));
+  }
+  return out;
 }
 
 struct OracleParam {
@@ -144,10 +178,18 @@ struct OracleParam {
 
 class WindowOracleSweep : public ::testing::TestWithParam<OracleParam> {};
 
+// The exactness contract of the window: every arrival decision, and
+// every 64 arrivals both regions -- items, priorities and thresholds
+// (the expired ones as frozen when they left the window) -- bit for bit.
+// `ported` is queried every 64 arrivals, which reclaims its columns;
+// `unqueried` sees the same stream but is only ever serialized, so its
+// deferred state (dead prefix, tombstones, pending threshold updates)
+// builds up as it does in production ingest.
 TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
   const auto [k, rate, seed, spike] = GetParam();
   const double window = 1.0;
   SlidingWindowSampler ported(k, window, seed);
+  SlidingWindowSampler unqueried(k, window, seed);
   ReferenceWindowSampler reference(k, window, seed);
   ArrivalProcess arrivals(
       spike == 1.0 ? RateProfile::Constant(rate)
@@ -155,19 +197,33 @@ TEST_P(WindowOracleSweep, PortMatchesDequeReferenceObservationally) {
       rate * spike * 1.1, seed + 77);
   size_t checked = 0;
   for (const Arrival& a : arrivals.Until(6.0)) {
-    ASSERT_EQ(ported.Arrive(a.time, a.id), reference.Arrive(a.time, a.id))
-        << "id " << a.id;
-    if (++checked % 64 == 0) {
-      ASSERT_DOUBLE_EQ(ported.ImprovedThreshold(a.time),
-                       reference.ImprovedThreshold(a.time));
-      ASSERT_DOUBLE_EQ(ported.GlThreshold(a.time),
-                       reference.GlThreshold(a.time));
-      ASSERT_EQ(ported.StoredCount(a.time), reference.StoredCount(a.time));
+    const bool stored = reference.Arrive(a.time, a.id);
+    ASSERT_EQ(ported.Arrive(a.time, a.id), stored) << "id " << a.id;
+    ASSERT_EQ(unqueried.Arrive(a.time, a.id), stored) << "id " << a.id;
+    if (++checked % 64 != 0) continue;
+    const auto current = reference.CurrentItems(a.time);
+    const auto expired = reference.ExpiredItems(a.time);
+    for (const SlidingWindowSampler* s : {&ported, &unqueried}) {
+      const FrameRegions regions = RegionsOf(*s);
+      ExpectSameItems(regions.current, current);
+      ExpectSameItems(regions.expired, expired);
     }
+    ASSERT_EQ(Bits(ported.ImprovedThreshold(a.time)),
+              Bits(reference.ImprovedThreshold(a.time)));
+    ASSERT_EQ(Bits(ported.GlThreshold(a.time)),
+              Bits(reference.GlThreshold(a.time)));
+    ASSERT_EQ(ported.StoredCount(a.time), reference.StoredCount(a.time));
+    ExpectSameItems(ported.CurrentItems(a.time), current);
+    if (::testing::Test::HasFailure()) return;
   }
-  ExpectSameItems(ported.CurrentItems(6.0), reference.CurrentItems(6.0));
-  EXPECT_DOUBLE_EQ(ported.GlThreshold(6.0), reference.GlThreshold(6.0));
-  EXPECT_EQ(ported.StoredCount(6.5), reference.StoredCount(6.5));
+  const auto final_items = reference.CurrentItems(6.0);
+  const double final_gl = reference.GlThreshold(6.0);
+  const size_t later_count = reference.StoredCount(6.5);
+  for (SlidingWindowSampler* s : {&ported, &unqueried}) {
+    ExpectSameItems(s->CurrentItems(6.0), final_items);
+    EXPECT_EQ(Bits(s->GlThreshold(6.0)), Bits(final_gl));
+    EXPECT_EQ(s->StoredCount(6.5), later_count);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,7 +236,9 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParam{128, 1500.0, 8},
                       OracleParam{2, 200.0, 9, 6.0},
                       OracleParam{25, 300.0, 10, 6.0},
-                      OracleParam{128, 400.0, 11, 6.0}));
+                      OracleParam{128, 400.0, 11, 6.0},
+                      // One window-dashboard shard: 2500/s over 8 shards.
+                      OracleParam{128, 312.5, 12, 6.0}));
 
 // ----------------------------------------------------------------------
 // Wire round trips.
