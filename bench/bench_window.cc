@@ -17,11 +17,15 @@
 //     fan-in through the threshold-pruned one-shot engine vs S
 //     sequential merge rounds (the PR-3 speedup, now for decayed
 //     samples).
+//   * BM_WindowMergePairwise/S vs BM_WindowMergeMany/S -- the windowed
+//     fan-in of S live spike-stream shards at k = 128: an explicit Merge
+//     chain (each step rebuilds the receiver and re-merges the growing
+//     expired union) vs MergeMany, which runs the same steps in one pass
+//     and merges the expired runs once (see sliding_window.h).
 //   * BM_WindowFramesEager/S/k vs BM_WindowFramesViews/S/k -- the
 //     windowed wire fan-in: Deserialize + Merge materializes a sampler
-//     per frame; MergeManyFrames folds zero-copy views through the same
-//     pairwise core (the windowed rule is clock-sensitive, so there is
-//     no one-shot shortcut to compare -- see sliding_window.h).
+//     per frame; MergeManyFrames reads zero-copy views through the same
+//     merge engine.
 //   * BM_ShardedWindowQuery{Cold,Cached} / BM_ShardedDecayQueryCached --
 //     the mutation-epoch cache: repeat queries between ingest batches
 //     are cache reads.
@@ -287,6 +291,56 @@ std::vector<std::string> MakeWindowFrames(size_t fan_in, size_t k) {
   }
   return frames;
 }
+
+// S live shards, each fed its own BM_WindowArriveSpike stream (distinct
+// ids) up to t = 4.5: the expired region holds the spike's first half,
+// the current one its second. Never queried, so each shard carries the
+// dead prefix, tombstones and lazy thresholds a dashboard shard copy
+// does.
+std::vector<SlidingWindowSampler> MakeSpikeShards(size_t fan_in, size_t k) {
+  std::vector<SlidingWindowSampler> shards;
+  shards.reserve(fan_in);
+  for (size_t s = 0; s < fan_in; ++s) {
+    SlidingWindowSampler shard(k, 1.0, 0x51ULL * (s + 1));
+    ArrivalProcess process(RateProfile::WithSpike(312.5, 3.0, 4.0, 6.0),
+                           312.5 * 6.0, 7 + s);
+    for (const Arrival& a : process.Until(4.5)) {
+      shard.Arrive(a.time, (uint64_t{s} << 32) | a.id);
+    }
+    shards.push_back(std::move(shard));
+  }
+  return shards;
+}
+
+void BM_WindowMergePairwise(benchmark::State& state) {
+  const size_t fan_in = static_cast<size_t>(state.range(0));
+  const size_t k = 128;
+  const auto shards = MakeSpikeShards(fan_in, k);
+  for (auto _ : state) {
+    SlidingWindowSampler acc(k, 1.0, 1);
+    for (const auto& shard : shards) acc.Merge(shard);
+    benchmark::DoNotOptimize(acc.ImprovedThreshold(acc.last_time()));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fan_in * k));
+}
+BENCHMARK(BM_WindowMergePairwise)->Arg(2)->Arg(8)->Arg(32);
+
+void BM_WindowMergeMany(benchmark::State& state) {
+  const size_t fan_in = static_cast<size_t>(state.range(0));
+  const size_t k = 128;
+  const auto shards = MakeSpikeShards(fan_in, k);
+  std::vector<const SlidingWindowSampler*> inputs;
+  for (const auto& shard : shards) inputs.push_back(&shard);
+  for (auto _ : state) {
+    SlidingWindowSampler acc(k, 1.0, 1);
+    acc.MergeMany(inputs);
+    benchmark::DoNotOptimize(acc.ImprovedThreshold(acc.last_time()));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fan_in * k));
+}
+BENCHMARK(BM_WindowMergeMany)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_WindowFramesEager(benchmark::State& state) {
   const size_t fan_in = static_cast<size_t>(state.range(0));

@@ -32,7 +32,7 @@
 // reader rebuilds (a rebuild mutex serializes rebuilders only): it
 // copies each shard under that shard's lock -- a writer waits at most
 // the O(k) copy of its own shard, never the merge -- runs the
-// threshold-pruned k-way merge over the copies, canonicalizes, and
+// scenario's k-way merge over the copies, canonicalizes, and
 // publishes the new snapshot. Retired snapshots park in a graveyard
 // that is reclaimed only when a seq_cst reader-in-flight counter reads
 // zero, so a reader that already loaded the raw pointer can always
@@ -347,8 +347,9 @@ class ConcurrentSampler {
       epochs.push_back(Scenario::Epoch(slot->sampler));
       copies.push_back(slot->sampler);
     }
-    // Merge the copies lock-free (the threshold-pruned k-way engine via
-    // the scenario), then publish.
+    // Merge the copies lock-free through the scenario's MergeMany (the
+    // threshold-pruned k-way engine for the keyed and decayed scenarios,
+    // the windowed chain's merge engine for the window), then publish.
     std::vector<const Shard*> inputs;
     inputs.reserve(copies.size());
     for (const Shard& copy : copies) inputs.push_back(&copy);

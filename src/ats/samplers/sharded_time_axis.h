@@ -5,12 +5,13 @@
 //
 // Both front-ends route each item to one of S shards by a salted key
 // hash, so the per-shard streams are disjoint key partitions sharing the
-// stream's time axis. Each shard is an ordinary full-capacity sampler on
-// its own SampleStore; ingest into distinct shards touches no shared
-// state. Queries aggregate the shards through the samplers' MergeMany --
-// the threshold-pruned k-way engine -- into a cached merged sampler that
-// is rebuilt only when some shard's mutation epoch moved since the cache
-// was taken; between ingest batches, repeated queries are cache reads.
+// stream's time axis. Each shard is an ordinary full-capacity sampler;
+// ingest into distinct shards touches no shared state. Queries aggregate
+// the shards through the samplers' MergeMany -- the threshold-pruned
+// k-way engine for the decayed sample, the windowed chain's merge engine
+// for the window -- into a cached merged sampler that is rebuilt only
+// when some shard's mutation epoch moved since the cache was taken;
+// between ingest batches, repeated queries are cache reads.
 //
 // Validity: the merged windowed sample is the min-composed union of valid
 // per-shard window samples (Theorem 9 + Theorem 6; see

@@ -6,6 +6,10 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <ranges>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "ats/core/sample_store.h"
 #include "ats/core/simd/simd_dispatch.h"
@@ -15,18 +19,6 @@ namespace {
 
 constexpr uint32_t kWindowMagic = 0x53574e31;  // "SWN1"
 constexpr uint32_t kWindowVersion = 2;
-
-// Field offsets inside one 32-byte wire entry (id, time, priority,
-// threshold; see docs/WIRE_FORMAT.md).
-constexpr size_t kEntryTimeOffset = 8;
-constexpr size_t kEntryPriorityOffset = 16;
-constexpr size_t kEntryThresholdOffset = 24;
-
-double ReadEntryDouble(std::string_view entries, size_t offset) {
-  double v;
-  std::memcpy(&v, entries.data() + offset, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
@@ -369,164 +361,451 @@ SlidingWindowSampler::CurrentItems(double now) {
 
 // --- Merging ----------------------------------------------------------
 
-SlidingWindowSampler::WindowSnapshot SlidingWindowSampler::SnapshotAt(
-    double now) const {
-  WindowSnapshot snap;
-  const double cut_window = now - window_;
-  const double cut_drop = now - 2.0 * window_;
-  // Expired items are older than any dead-prefix or lazily-expiring
-  // current item, so the append order expired_, dead prefix, current
-  // spill-over keeps time order.
-  for (const StoredItem& it : ExpiredItems()) {
-    if (it.time > cut_drop && it.time <= cut_window) {
-      snap.expired.push_back(it);
-    }
-  }
-  // Dead-prefix entries are logically expired items not yet copied into
-  // expired_ (see ExpireUntil); they belong to the expired region.
-  // Tombstones (evicted entries) belong to neither region.
-  for (size_t i = 0; i < dead_prefix_; ++i) {
-    const StoredItem it = ItemAt(i);
-    if (it.priority != kTombstone && it.time > cut_drop &&
-        it.time <= cut_window) {
-      snap.expired.push_back(it);
-    }
-  }
-  const std::vector<double> thresholds = LiveThresholds();
-  for (size_t i = dead_prefix_; i < priority_.size(); ++i) {
-    StoredItem it = ItemAt(i);
-    if (it.priority == kTombstone || it.time <= cut_drop) continue;
-    it.threshold = thresholds[i - dead_prefix_];
-    (it.time <= cut_window ? snap.expired : snap.current).push_back(it);
-  }
-  return snap;
+namespace {
+
+using StoredItem = SlidingWindowSampler::StoredItem;
+using ItemRun = std::span<const StoredItem>;
+
+bool EarlierTime(const StoredItem& a, const StoredItem& b) {
+  return a.time < b.time;
 }
 
-SlidingWindowSampler::WindowSnapshot SlidingWindowSampler::SnapshotOfView(
-    const FrameView& view, double now) {
-  WindowSnapshot snap;
-  const double cut_window = now - view.window();
-  const double cut_drop = now - 2.0 * view.window();
-  for (size_t i = view.current_count();
-       i < view.current_count() + view.expired_count(); ++i) {
-    const StoredItem it = view.entry(i);
-    if (it.time > cut_drop && it.time <= cut_window) {
-      snap.expired.push_back(it);
+// Merges non-empty time-ordered runs holding `total` entries into `out`:
+// the stable sort by time of the runs concatenated in order, so on
+// equal times the lower-indexed run goes first. Two runs take one
+// linear merge. More would pay a heap's or tournament's unpredictable
+// compare per tree level for every entry; instead the entries are
+// distributed into about total / 2 time buckets (a monotone map, so
+// equal times share a bucket and bucket order is time order) and copied
+// once into place in run order. Each bucket is then sorted stably in
+// place, which moves a few entries unless the times cluster.
+void MergeRunsByTime(std::span<const ItemRun> runs, size_t total,
+                     StoredItem* out) {
+  if (runs.size() <= 2) {
+    if (runs.size() == 1) std::copy(runs[0].begin(), runs[0].end(), out);
+    if (runs.size() == 2) {
+      std::merge(runs[0].begin(), runs[0].end(), runs[1].begin(),
+                 runs[1].end(), out, EarlierTime);
     }
+    return;
   }
-  for (size_t i = 0; i < view.current_count(); ++i) {
-    const StoredItem it = view.entry(i);
-    if (it.time <= cut_drop) continue;
-    (it.time <= cut_window ? snap.expired : snap.current).push_back(it);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const ItemRun& run : runs) {
+    lo = std::min(lo, run.front().time);
+    hi = std::max(hi, run.back().time);
   }
-  return snap;
-}
-
-void SlidingWindowSampler::MergeOneSnapshot(WindowSnapshot snap,
-                                            double now) {
-  FlushExpiry(now);
-  ++epoch_;
-  // Min threshold composition (Theorem 9): the common bound is the min
-  // of both sides' improved thresholds at the merge instant.
-  double bound = CurrentMinThreshold();
-  for (const StoredItem& it : snap.current) {
-    bound = std::min(bound, it.threshold);
-  }
-  // Candidates: the time-sorted union of the current sets, self first
-  // for equal times, matching the accumulation order of every earlier
-  // merge so priority ties resolve deterministically. Both sides are
-  // already time-ordered runs, so one linear std::merge (which takes
-  // from the first range on ties) equals the stable sort of self ++
-  // other; dropping entries at or above the bound before merging keeps
-  // both runs ordered.
-  const auto by_time = [](const StoredItem& a, const StoredItem& b) {
-    return a.time < b.time;
+  ATS_DCHECK(total < std::numeric_limits<uint32_t>::max());
+  const size_t buckets = std::bit_ceil(total / 2 + 1);
+  const double last = static_cast<double>(buckets - 1);
+  const double scale = hi > lo ? static_cast<double>(buckets) / (hi - lo)
+                               : 0.0;
+  const auto bucket = [=](const StoredItem& it) {
+    const double x = (it.time - lo) * scale;
+    return static_cast<uint32_t>(x < last ? x : last);
   };
-  ATS_DCHECK(std::is_sorted(time_.begin(), time_.end()));
-  ATS_DCHECK(std::is_sorted(snap.current.begin(), snap.current.end(),
-                            by_time));
-  std::vector<StoredItem> own;
-  own.reserve(priority_.size());
-  for (size_t i = 0; i < priority_.size(); ++i) {
-    if (priority_[i] < bound) own.push_back(ItemAt(i));
+  const auto for_each_entry = [runs](const auto& visit) {
+    for (const ItemRun& run : runs) {
+      for (const StoredItem& it : run) visit(it);
+    }
+  };
+  std::vector<uint32_t> start(buckets + 1, 0);
+  for_each_entry([&](const StoredItem& it) { ++start[bucket(it) + 1]; });
+  uint32_t largest = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    largest = std::max(largest, start[b + 1]);
+    start[b + 1] += start[b];
   }
-  std::erase_if(snap.current, [bound](const StoredItem& it) {
-    return it.priority >= bound;
-  });
-  std::vector<StoredItem> candidates(own.size() + snap.current.size());
-  std::merge(own.begin(), own.end(), snap.current.begin(),
-             snap.current.end(), candidates.begin(), by_time);
-  // Re-cap at k with the usual bottom-k selection (ties at the pivot
-  // kept first-arrived-first, mirroring the store's compaction).
-  double t_final = bound;
-  if (candidates.size() > k_) {
-    std::vector<double> scratch;
-    scratch.reserve(candidates.size());
-    for (const StoredItem& it : candidates) scratch.push_back(it.priority);
-    const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(k_);
-    std::nth_element(scratch.begin(), nth, scratch.end());
-    const double pivot = *nth;
-    t_final = std::min(bound, pivot);
-    size_t below = 0;
-    for (const StoredItem& it : candidates) below += it.priority < pivot;
-    size_t ties_needed = k_ - below;
-    std::vector<StoredItem> kept;
-    kept.reserve(k_);
-    for (const StoredItem& it : candidates) {
-      if (it.priority < pivot) {
-        kept.push_back(it);
-      } else if (it.priority == pivot && ties_needed > 0) {
-        --ties_needed;
-        kept.push_back(it);
+  std::vector<uint32_t> fill(start.begin(), start.end() - 1);
+  for_each_entry([&](const StoredItem& it) { out[fill[bucket(it)]++] = it; });
+  // Clustered times: a bucket of more than 32 entries is stable-sorted.
+  if (largest > 32) {
+    for (size_t b = 0; b < buckets; ++b) {
+      if (start[b + 1] - start[b] > 32) {
+        std::stable_sort(out + start[b], out + start[b + 1], EarlierTime);
       }
     }
-    candidates = std::move(kept);
   }
-  // Rebuild the columns (time order preserved by construction),
-  // min-composing the per-item thresholds with the final bound. The
-  // improved threshold (min over items) already equals t_final, so this
-  // changes no query result; it keeps per-item state consistent with
-  // what a single sampler's eviction chain records.
-  priority_.clear();
-  id_.clear();
-  time_.clear();
-  threshold_.clear();
-  for (const StoredItem& it : candidates) {
-    Append(it.priority, it.id, it.time, std::min(it.threshold, t_final));
+  // Then one stable insertion pass over the whole output: no entry is
+  // out of order across buckets, so no move leaves its bucket.
+  for (StoredItem* it = out + 1; it < out + total; ++it) {
+    if (!(it->time < it[-1].time)) continue;
+    const StoredItem moving = *it;
+    StoredItem* to = it;
+    do {
+      *to = to[-1];
+      --to;
+    } while (to != out && moving.time < to[-1].time);
+    *to = moving;
   }
-  top_count_ = 0;
-  // Union the expired sets in time order; they feed the G&L threshold of
-  // the merged sampler. Self expiry at `now` already trimmed both sides
-  // (the snapshot was filtered at `now`). Again two time-ordered runs,
-  // self first on ties.
-  const auto expired_live = ExpiredItems();
-  ATS_DCHECK(std::is_sorted(snap.expired.begin(), snap.expired.end(),
-                            by_time));
-  std::vector<StoredItem> merged_expired(expired_live.size() +
-                                         snap.expired.size());
-  std::merge(expired_live.begin(), expired_live.end(), snap.expired.begin(),
-             snap.expired.end(), merged_expired.begin(), by_time);
-  expired_ = std::move(merged_expired);
-  expired_head_ = 0;
 }
+
+// The entries of a sorted expired run newer than `drop`: a suffix.
+ItemRun NewerThan(ItemRun run, double drop) {
+  const auto first = std::partition_point(
+      run.begin(), run.end(),
+      [drop](const StoredItem& it) { return !(it.time > drop); });
+  return run.subspan(static_cast<size_t>(first - run.begin()));
+}
+
+// The entries of a frame's current region at or below `cut`: a prefix.
+size_t CurrentUpTo(const SlidingWindowSampler::FrameView& view,
+                   double cut) {
+  const auto indices = std::views::iota(size_t{0}, view.current_count());
+  return static_cast<size_t>(
+      std::ranges::partition_point(indices, [&view, cut](size_t i) {
+        return view.entry(i).time <= cut;
+      }) -
+      indices.begin());
+}
+
+// The entries of a sorted time column at or below `cut`: a prefix.
+size_t ColumnUpTo(const std::vector<double>& time, double cut) {
+  return static_cast<size_t>(
+      std::upper_bound(time.begin(), time.end(), cut) - time.begin());
+}
+
+}  // namespace
+
+// Runs the pairwise chain's steps (see the file comment of
+// sliding_window.h) without rebuilding the receiver between them. Each
+// step keeps the chain's rules on cur_; between steps the clock
+// ratchets, moving cur_'s entries at or below now_i - w to the
+// receiver's expired run as the chain's FlushExpiry at now_i would.
+// The expired runs are merged once, in Finish: input i's run ends at or
+// below now_i - w, and the ratcheted entries are later than everything
+// the receiver held before, so the chain's tie order is the run order
+// (the receiver's, then the inputs' in span order), and the chain's
+// drops at each clock add up to one trim at the final clock's cutoff.
+class SlidingWindowSampler::MergeEngine {
+ public:
+  // Runs the chain over the inputs `for_each` visits (samplers or frame
+  // views), in order. Every buffer is sized before the first step, so
+  // no step allocates.
+  template <class ForEach>
+  static void Run(SlidingWindowSampler& self, const ForEach& for_each) {
+    double last_time = self.last_time_;
+    for_each([&](const auto& in) {
+      last_time = std::max(last_time, in.last_time());
+    });
+    MergeEngine engine(self, last_time);
+    for_each([&](const auto& in) { engine.Measure(in); });
+    engine.Reserve();
+    for_each([&](const auto& in) { engine.Add(in); });
+    engine.Finish();
+  }
+
+ private:
+  MergeEngine(SlidingWindowSampler& self, double last_time)
+      : self_(self),
+        final_cut_(last_time - self.window_),
+        drop_(last_time - 2.0 * self.window_),
+        now_(self.last_time_),
+        ratchet_bound_(ColumnUpTo(self.time_, final_cut_)) {}
+
+  // Sizing. Only entries at or below the final clock's window cutoff can
+  // ever be copied into an expired run or ratcheted out of cur_.
+  void Measure(const SlidingWindowSampler& in) {
+    const size_t expiring = ColumnUpTo(in.time_, final_cut_);
+    copies_bound_ += in.ExpiredItems().size() + expiring;  // see Add
+    ratchet_bound_ += expiring - std::min(expiring, in.dead_prefix_);
+    CountLive(in.priority_.size() - in.dead_prefix_);
+  }
+  void Measure(const FrameView& in) {
+    const size_t expiring = CurrentUpTo(in, final_cut_);
+    copies_bound_ += in.expired_count() + expiring;
+    ratchet_bound_ += expiring;
+    CountLive(in.current_count());
+  }
+  void CountLive(size_t live) {
+    ++inputs_;
+    max_live_ = std::max(max_live_, live);
+    total_live_ += live;
+  }
+  void Reserve() {
+    // Every entry that can reach cur_ is a receiver column entry or an
+    // input's live entry; cur_ holds at most k of them after a step. The
+    // step buffers are sized, not reserved: passes write them by index,
+    // past the entries they keep.
+    const size_t pool = self_.priority_.size() + total_live_;
+    const size_t candidates = std::min(self_.k_, pool) + max_live_;
+    cur_.resize(candidates);
+    cand_.resize(candidates);
+    priorities_.resize(candidates);
+    in_.resize(max_live_);
+    settled_.reserve(max_live_);
+    ratcheted_.reserve(ratchet_bound_);
+    copies_.reserve(copies_bound_);
+    input_runs_.reserve(inputs_);
+  }
+
+  // The sampler-columns adapter. Current entries come from the live
+  // range, tombstones skipped, thresholds settled into settled_ when
+  // updates are pending. The expired run is expired_, read in place,
+  // then copies of the dead prefix and of the live entries that expired
+  // at now_i.
+  void Add(const SlidingWindowSampler& in) {
+    const double cut = BeginStep(in.last_time_) - self_.window_;
+    const size_t dead = in.dead_prefix_;
+    const size_t end = in.priority_.size();
+    const double* thresholds = in.threshold_.data() + dead;
+    if (in.pending_ < 1.0) {
+      settled_.assign(
+          in.threshold_.begin() + static_cast<std::ptrdiff_t>(dead),
+          in.threshold_.end());
+      SettleRange(settled_.data(), settled_.size(), in.pending_);
+      thresholds = settled_.data();
+    }
+    const size_t current = std::max(dead, ColumnUpTo(in.time_, cut));
+    const size_t first = copies_.size();
+    for (size_t i = 0; i < current; ++i) {
+      if (in.priority_[i] == kTombstone || !(in.time_[i] > drop_)) continue;
+      StoredItem it = in.ItemAt(i);
+      if (i >= dead) it.threshold = thresholds[i - dead];
+      copies_.push_back(it);
+    }
+    ItemRun head = NewerThan(in.ExpiredItems(), drop_);
+    if (inputs_ == 1 && copies_.size() != first) {
+      // A lone input's run is made one piece, so that Finish merges two
+      // pieces, the receiver's and this one, in one linear pass.
+      copies_.insert(copies_.begin() + static_cast<std::ptrdiff_t>(first),
+                     head.begin(), head.end());
+      head = {};
+    }
+    input_runs_.push_back({head, copies_.size()});
+    // One pass takes the input's improved threshold and keeps the
+    // entries below the receiver's, a superset of those below the bound.
+    double in_min = 1.0;
+    size_t n = 0;
+    for (size_t i = current; i < end; ++i) {
+      const double p = in.priority_[i];
+      const double t = thresholds[i - dead];
+      const bool live = p != kTombstone;
+      in_min = std::min(in_min, live ? t : 1.0);
+      if (live && p < own_min_) in_[n++] = {in.id_[i], in.time_[i], p, t};
+    }
+    in_size_ = n;
+    Fold(std::min(own_min_, in_min));
+  }
+
+  // The FrameView adapter: the expired run is a copy of the expired
+  // region, then of the current region's entries that expired at now_i.
+  void Add(const FrameView& in) {
+    const double cut = BeginStep(in.last_time()) - self_.window_;
+    const size_t count = in.current_count();
+    const size_t current = CurrentUpTo(in, cut);
+    for (size_t i = count; i < count + in.expired_count(); ++i) {
+      const StoredItem it = in.entry(i);
+      if (it.time > drop_) copies_.push_back(it);
+    }
+    for (size_t i = 0; i < current; ++i) {
+      const StoredItem it = in.entry(i);
+      if (it.time > drop_) copies_.push_back(it);
+    }
+    input_runs_.push_back({ItemRun(), copies_.size()});
+    double in_min = 1.0;
+    size_t n = 0;
+    for (size_t i = current; i < count; ++i) {
+      in_[n] = in.entry(i);
+      in_min = std::min(in_min, in_[n].threshold);
+      n += in_[n].priority < own_min_;
+    }
+    in_size_ = n;
+    Fold(std::min(own_min_, in_min));
+  }
+
+  // Advances the clock to this step's now_i and returns it. The first
+  // step flushes the receiver; later ones ratchet cur_.
+  double BeginStep(double input_time) {
+    const double now = std::max(now_, input_time);
+    size_t from = 0;
+    if (input_runs_.empty()) {  // the first step
+      self_.FlushExpiry(now);
+      cur_size_ = self_.priority_.size();
+      for (size_t i = 0; i < cur_size_; ++i) cur_[i] = self_.ItemAt(i);
+    } else {
+      const double cut = now - self_.window_;
+      for (; from < cur_size_ && cur_[from].time <= cut; ++from) {
+        if (cur_[from].time > drop_) ratcheted_.push_back(cur_[from]);
+      }
+    }
+    own_begin_ = from;
+    own_min_ = 1.0;
+    for (size_t i = from; i < cur_size_; ++i) {
+      own_min_ = std::min(own_min_, cur_[i].threshold);
+    }
+    now_ = now;
+    return now;
+  }
+
+  // One chain step on the current sets: the entries of cur_[own_begin_,
+  // end) and of in_ below `bound` merge by time, receiver first on equal
+  // times; the union is re-capped at k and its thresholds min-composed.
+  void Fold(double bound) {
+    // The re-cap's pivot first: selection needs only the priorities.
+    const StoredItem* const a_begin = cur_.data() + own_begin_;
+    const StoredItem* const a_end = cur_.data() + cur_size_;
+    const StoredItem* const b_end = in_.data() + in_size_;
+    size_t n = 0;
+    for (const StoredItem* it = a_begin; it != a_end; ++it) {
+      priorities_[n] = it->priority;
+      n += it->priority < bound;
+    }
+    for (const StoredItem* it = in_.data(); it != b_end; ++it) {
+      priorities_[n] = it->priority;
+      n += it->priority < bound;
+    }
+    // Re-cap at k with the usual bottom-k selection (ties at the pivot
+    // kept first-arrived-first, mirroring the store's compaction), and
+    // min-compose the per-item thresholds with the final bound. The
+    // improved threshold (min over items) already equals t_final; this
+    // keeps per-item state what a single sampler's eviction chain
+    // records.
+    const size_t k = self_.k_;
+    double limit = bound;  // keeps everything below it, and `ties` at it
+    double t_final = bound;
+    size_t ties = 0;
+    if (n > k) {
+      const auto [pivot, below] = SelectRank(priorities_.data(), n, k, bound);
+      limit = pivot;  // below the bound: it is a candidate's priority
+      t_final = pivot;
+      ties = k - below;
+    }
+    // One pass merges, re-caps and min-composes: each entry is written
+    // to the output, which advances past the kept ones only.
+    StoredItem* const out = cand_.data();
+    size_t kept = 0;
+    const auto take = [&](const StoredItem& it) {
+      const bool tie = it.priority == limit && ties != 0;
+      ties -= tie;
+      out[kept] = it;
+      out[kept].threshold = std::min(it.threshold, t_final);
+      kept += it.priority < limit || tie;
+    };
+    const StoredItem* a = a_begin;
+    const StoredItem* b = in_.data();
+    while (a != a_end && b != b_end) {
+      if (b->time < a->time) {
+        take(*b++);
+      } else {
+        take(*a++);
+      }
+    }
+    for (; a != a_end; ++a) take(*a);
+    for (; b != b_end; ++b) take(*b);
+    cur_.swap(cand_);
+    cur_size_ = kept;
+    own_begin_ = 0;
+  }
+
+  // The (k+1)-th smallest of v[0, n) -- more than k values, all in
+  // [0, bound) -- and how many values are below it. A comparison
+  // selection mispredicts on about every compare; instead one pass
+  // counts the values per bucket of a monotone map onto [0, bound), and
+  // only the bucket holding rank k, a few values, is selected exactly.
+  static std::pair<double, size_t> SelectRank(double* v, size_t n, size_t k,
+                                              double bound) {
+    constexpr uint32_t kBuckets = 64;
+    const double scale = kBuckets / bound;
+    const auto bucket = [scale](double p) {
+      const double x = p * scale;
+      return x < kBuckets - 1 ? static_cast<uint32_t>(x) : kBuckets - 1;
+    };
+    size_t count[kBuckets] = {};
+    for (size_t i = 0; i < n; ++i) ++count[bucket(v[i])];
+    size_t before = 0;
+    uint32_t b = 0;
+    while (before + count[b] <= k) before += count[b++];
+    size_t m = 0;
+    for (size_t i = 0; i < n; ++i) {
+      v[m] = v[i];
+      m += bucket(v[i]) == b;
+    }
+    double* const nth = v + (k - before);
+    std::nth_element(v, nth, v + m);
+    const double pivot = *nth;
+    const auto below_in_bucket = static_cast<size_t>(
+        std::count_if(v, nth, [pivot](double p) { return p < pivot; }));
+    return {pivot, before + below_in_bucket};
+  }
+
+  // Writes the columns and the merged expired set.
+  void Finish() {
+    SlidingWindowSampler& s = self_;
+    s.priority_.clear();
+    s.id_.clear();
+    s.time_.clear();
+    s.threshold_.clear();
+    for (const StoredItem& it : std::span(cur_).first(cur_size_)) {
+      s.Append(it.priority, it.id, it.time, it.threshold);
+    }
+    s.top_count_ = 0;
+    // The expired runs in tie order: the receiver's, in two time-ordered
+    // pieces (its expired_ and the ratcheted entries), then each input's,
+    // in place or copied. Merging the pieces in this order is merging
+    // the runs.
+    std::vector<ItemRun> pieces{NewerThan(s.ExpiredItems(), drop_),
+                                ItemRun(ratcheted_)};
+    pieces.reserve(2 + 2 * input_runs_.size());
+    size_t begin = 0;
+    for (const auto& [head, end] : input_runs_) {
+      pieces.push_back(head);
+      pieces.push_back(ItemRun(copies_).subspan(begin, end - begin));
+      begin = end;
+    }
+    std::erase_if(pieces, [](ItemRun piece) { return piece.empty(); });
+    size_t total = 0;
+    for (ItemRun piece : pieces) total += piece.size();
+    std::vector<StoredItem> merged(total);
+    MergeRunsByTime(pieces, total, merged.data());
+    s.expired_ = std::move(merged);
+    s.expired_head_ = 0;
+    s.last_time_ = now_;
+    ++s.epoch_;
+  }
+
+  SlidingWindowSampler& self_;
+  const double final_cut_;  // the final clock's window cutoff
+  const double drop_;       // the final clock's two-window cutoff
+  double now_;              // the chain's clock
+  size_t inputs_ = 0;
+  size_t max_live_ = 0;      // live-range entries of the largest input
+  size_t total_live_ = 0;    // live-range entries over all inputs
+  size_t ratchet_bound_;     // entries that can be ratcheted out of cur_
+  size_t copies_bound_ = 0;  // input entries that can be in an expired run
+  size_t own_begin_ = 0;     // cur_'s entries before it have expired
+  double own_min_ = 1.0;     // improved threshold of cur_[own_begin_, end)
+  size_t cur_size_ = 0;
+  size_t in_size_ = 0;
+  std::vector<StoredItem> cur_;        // the receiver's current set
+  std::vector<StoredItem> cand_;       // the next step's current set
+  std::vector<double> priorities_;     // cand_'s priorities
+  std::vector<StoredItem> in_;         // an input's entries below own_min_
+  std::vector<double> settled_;        // an input's settled thresholds
+  std::vector<StoredItem> ratcheted_;  // receiver entries a ratchet expired
+  std::vector<StoredItem> copies_;     // the inputs' copied expired entries
+  // Each input's expired run: read in place, or where it ends in
+  // copies_.
+  std::vector<std::pair<ItemRun, size_t>> input_runs_;
+};
 
 void SlidingWindowSampler::MergeMany(
     std::span<const SlidingWindowSampler* const> inputs) {
-  // The windowed merge is inherently clock-sensitive: improved
-  // thresholds RECOVER as old constraints expire, so there is no
-  // clock-free global bound to hoist the way SampleStore::MergeMany
-  // does. K-way aggregation is therefore DEFINED as the pairwise chain
-  // in span order -- one shared snapshot/selection core per input, each
-  // step at the ratcheting clock max -- and the differential test pins
-  // MergeMany to the explicit Merge chain bit-for-bit. Inputs aliasing
-  // `this` are skipped; with no real inputs this is a strict no-op
-  // (expiry must not advance, ties at thresholds must survive).
+  // Inputs aliasing `this` are skipped; with no real inputs this is a
+  // strict no-op (expiry must not advance, ties at thresholds must
+  // survive).
+  bool any = false;
   for (const SlidingWindowSampler* in : inputs) {
     if (in == this) continue;
     ATS_CHECK(in->window_ == window_);
-    const double now = std::max(last_time_, in->last_time_);
-    MergeOneSnapshot(in->SnapshotAt(now), now);
+    any = true;
   }
+  if (!any) return;
+  MergeEngine::Run(*this, [&](const auto& visit) {
+    for (const SlidingWindowSampler* in : inputs) {
+      if (in != this) visit(*in);
+    }
+  });
 }
 
 void SlidingWindowSampler::Merge(const SlidingWindowSampler& other) {
@@ -675,15 +954,15 @@ std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
 
 SlidingWindowSampler::StoredItem SlidingWindowSampler::FrameView::entry(
     size_t i) const {
+  // A 32-byte wire entry is id, time, priority, threshold (see
+  // docs/WIRE_FORMAT.md): StoredItem's layout.
+  static_assert(sizeof(StoredItem) == kStride &&
+                offsetof(StoredItem, time) == 8 &&
+                offsetof(StoredItem, priority) == 16 &&
+                offsetof(StoredItem, threshold) == 24);
   ATS_DCHECK(i < current_count_ + expired_count_);
-  const std::string_view e = entries_.substr(i * kStride, kStride);
   StoredItem it;
-  uint64_t id;
-  std::memcpy(&id, e.data(), sizeof(id));
-  it.id = id;
-  it.time = ReadEntryDouble(e, kEntryTimeOffset);
-  it.priority = ReadEntryDouble(e, kEntryPriorityOffset);
-  it.threshold = ReadEntryDouble(e, kEntryThresholdOffset);
+  std::memcpy(static_cast<void*>(&it), entries_.data() + i * kStride, kStride);
   return it;
 }
 
@@ -765,13 +1044,13 @@ bool SlidingWindowSampler::MergeManyFrames(
     if (!view || view->window() != window_) return false;
     views.push_back(*view);
   }
-  // Fold the validated views through the pairwise core in span order --
+  // The validated views go through the merge engine in span order --
   // observationally identical to Deserialize + Merge per frame, without
   // materializing a sampler per frame. An empty list is a strict no-op.
-  for (const FrameView& v : views) {
-    const double now = std::max(last_time_, v.last_time());
-    MergeOneSnapshot(SnapshotOfView(v, now), now);
-  }
+  if (views.empty()) return true;
+  MergeEngine::Run(*this, [&](const auto& visit) {
+    for (const FrameView& v : views) visit(v);
+  });
   return true;
 }
 

@@ -48,20 +48,30 @@
 //
 // Merging (distributed windows): samplers over DISJOINT key partitions of
 // one stream, sharing the time axis, merge by min threshold composition
-// (Theorem 9): the union of the current sets under the common bound
-// t = min of both sides' improved thresholds at the merge instant,
-// re-capped at k by the usual bottom-k rule when the union overflows
-// (every per-item threshold is min-updated with the final bound, which
-// leaves the improved threshold -- already the min over all items --
-// unchanged); expired sets are unioned in time order and trimmed at two
-// windows, so the G&L threshold of the merged sampler is computed over
-// the full union. Unlike the sketches' threshold-pruned one-shot engine,
-// the windowed rule is clock-SENSITIVE -- improved thresholds recover as
-// old constraints expire -- so there is no clock-free global bound to
-// hoist: MergeMany/MergeManyFrames are DEFINED as the pairwise chain in
-// span order (one shared snapshot/selection core per input, frames all
-// validated before the first is applied) and differential-tested
-// bit-identical to the explicit Merge chain (window_mergeable_test.cc).
+// (Theorem 9). One pairwise step at clock `now` takes the union of both
+// current sets under the common bound t = min of both sides' improved
+// thresholds at `now`, re-capped at k by the usual bottom-k rule when the
+// union overflows (every per-item threshold is min-updated with the final
+// bound, which leaves the improved threshold -- already the min over all
+// items -- unchanged); expired sets are unioned in time order and trimmed
+// at two windows, so the G&L threshold of the merged sampler is computed
+// over the full union. Merge, MergeMany and MergeManyFrames are DEFINED as
+// the chain of these steps in span order, step i at the ratcheting clock
+// now_i = max(now_{i-1}, input i's last_time). Unlike the sketches'
+// merge, the windowed rule is clock-SENSITIVE: improved thresholds
+// recover as old constraints expire, and entries the receiver took in at
+// an earlier step move to its expired set, with the thresholds they had
+// then, when a later input advances the clock. So a one-shot merge at the
+// final clock is not the chain. One merge engine runs the chain's steps
+// exactly, without its per-step costs: the receiver is flushed once and
+// its current set kept in one scratch buffer, each input (sampler columns
+// or a validated FrameView) is read once at its step's clock, no step
+// allocates, the columns are written once, and the expired runs -- the
+// receiver's, then each input's in span order, which is the chain's tie
+// order -- are merged once at the end (sliding_window.cc). Frames are all
+// validated before the first is applied. Differential tests pin all three
+// entry points to the explicit Merge chain and to an independent chain
+// reference, bit for bit (window_mergeable_test.cc).
 #ifndef ATS_SAMPLERS_SLIDING_WINDOW_H_
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
@@ -178,9 +188,10 @@ class SlidingWindowSampler {
 
   /// K-way merge: bit-identical to merging the inputs one by one with
   /// Merge() in span order (differential-tested) -- the windowed rule is
-  /// clock-sensitive, so the chain IS the definition (see the file
-  /// comment). Inputs aliasing `this` are skipped; with no real inputs
-  /// this is a strict no-op.
+  /// clock-sensitive, so the chain IS the definition, and the merge
+  /// engine runs its steps in one pass (see the file comment). Inputs
+  /// aliasing `this` are skipped; with no real inputs this is a strict
+  /// no-op.
   void MergeMany(std::span<const SlidingWindowSampler* const> inputs);
 
   // --- Versioned wire format (magic "SWN1") ---
@@ -241,22 +252,18 @@ class SlidingWindowSampler {
   /// capacity claims cannot reserve memory here.
   static std::optional<FrameView> DeserializeView(std::string_view frame);
 
-  /// Threshold-pruned k-way merge straight off the wire: observationally
-  /// identical to deserializing every frame and merging the results with
-  /// Merge() in span order. Returns false -- leaving the sampler
-  /// observably unchanged -- if ANY frame fails validation or carries a
-  /// mismatched window; all frames are vetted before the first one is
-  /// applied.
+  /// K-way merge straight off the wire, through the same merge engine:
+  /// observationally identical to deserializing every frame and merging
+  /// the results with Merge() in span order. Returns false -- leaving
+  /// the sampler observably unchanged -- if ANY frame fails validation
+  /// or carries a mismatched window; all frames are vetted before the
+  /// first one is applied.
   bool MergeManyFrames(std::span<const std::string_view> frames);
 
  private:
-  // One input of the shared merge core: a filtered view of a sampler or
-  // frame at the global merge instant `now` (current: time in
-  // (now - w, now]; expired: time in (now - 2w, now - w]).
-  struct WindowSnapshot {
-    std::vector<StoredItem> current;
-    std::vector<StoredItem> expired;
-  };
+  // The merge engine behind Merge, MergeMany and MergeManyFrames (see
+  // the file comment); defined in sliding_window.cc.
+  class MergeEngine;
 
   // Size of the top-priority cache. Large enough that a refill scan is
   // amortized over several accepted arrivals (an accept that evicts a
@@ -478,13 +485,6 @@ class SlidingWindowSampler {
   // must be reclaimed first (no dead prefix, tombstones or pending
   // updates).
   double CurrentMinThreshold() const;
-  // Snapshot of a (possibly lazily expired) sampler at global time `now`.
-  WindowSnapshot SnapshotAt(double now) const;
-  static WindowSnapshot SnapshotOfView(const FrameView& view, double now);
-  // The pairwise merge core shared by Merge, MergeMany, and
-  // MergeManyFrames: folds one input snapshot (already filtered at
-  // `now`) into `this`.
-  void MergeOneSnapshot(WindowSnapshot snap, double now);
 
   size_t k_;
   double window_;

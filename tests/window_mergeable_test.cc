@@ -4,7 +4,8 @@
 // round trips with RNG continuation, hostile-input sweeps over the
 // zero-copy frame views, and the windowed/decayed MergeMany vs the
 // sequential pairwise-Merge chain (including empty windows, all-expired
-// stores, and k = 1) -- mirroring merge_many_test.cc for the sketches.
+// stores, and k = 1; the window also vs an independent chain
+// reference) -- mirroring merge_many_test.cc for the sketches.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -332,88 +333,209 @@ TEST(DecayBatch, AddBatchMatchesScalarLoopExactly) {
 // ----------------------------------------------------------------------
 // MergeMany vs the sequential pairwise chain.
 
+// The pairwise chain as sliding_window.h defines it, written out on
+// decoded frame regions: an oracle that shares no code with the merge
+// engine, which Merge, MergeMany and MergeManyFrames all run.
+struct ChainState {
+  size_t k = 0;
+  double window = 0.0;
+  double last_time = 0.0;
+  std::vector<SlidingWindowSampler::StoredItem> current;
+  std::vector<SlidingWindowSampler::StoredItem> expired;
+};
+
+ChainState ChainStateOf(const SlidingWindowSampler& sampler) {
+  FrameRegions regions = RegionsOf(sampler);
+  return {sampler.k(), sampler.window(), sampler.last_time(),
+          std::move(regions.current), std::move(regions.expired)};
+}
+
+void StableSortByTime(std::vector<SlidingWindowSampler::StoredItem>& items) {
+  std::stable_sort(items.begin(), items.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.time < b.time;
+                   });
+}
+
+// One chain step: both sides at the clock max(acc, input); the bound is
+// the min of both improved thresholds; the time-ordered union (the
+// accumulator first on equal times) is re-capped at k, first-arrived
+// ties kept; thresholds are min-composed; expired sets are unioned the
+// same way.
+void ReferenceMergeStep(ChainState& acc, const ChainState& in) {
+  const double now = std::max(acc.last_time, in.last_time);
+  const double cut = now - acc.window;
+  const double drop = now - 2.0 * acc.window;
+  acc.last_time = now;
+  std::vector<SlidingWindowSampler::StoredItem> acc_current;
+  for (const auto& it : acc.current) {
+    (it.time <= cut ? acc.expired : acc_current).push_back(it);
+  }
+  std::erase_if(acc.expired,
+                [drop](const auto& it) { return it.time <= drop; });
+  std::vector<SlidingWindowSampler::StoredItem> in_current;
+  std::vector<SlidingWindowSampler::StoredItem> in_expired;
+  for (const auto& it : in.expired) {
+    if (it.time > drop) in_expired.push_back(it);
+  }
+  for (const auto& it : in.current) {
+    if (it.time <= drop) continue;
+    (it.time <= cut ? in_expired : in_current).push_back(it);
+  }
+  double bound = 1.0;
+  for (const auto& it : acc_current) bound = std::min(bound, it.threshold);
+  for (const auto& it : in_current) bound = std::min(bound, it.threshold);
+  std::vector<SlidingWindowSampler::StoredItem> candidates;
+  for (const auto* side : {&acc_current, &in_current}) {
+    for (const auto& it : *side) {
+      if (it.priority < bound) candidates.push_back(it);
+    }
+  }
+  StableSortByTime(candidates);
+  double t_final = bound;
+  if (candidates.size() > acc.k) {
+    std::vector<double> priorities;
+    for (const auto& it : candidates) priorities.push_back(it.priority);
+    std::sort(priorities.begin(), priorities.end());
+    const double pivot = priorities[acc.k];
+    t_final = std::min(bound, pivot);
+    size_t ties = static_cast<size_t>(
+        std::count(priorities.begin(), priorities.begin() + acc.k, pivot));
+    std::erase_if(candidates, [&](const auto& it) {
+      if (it.priority < pivot) return false;
+      if (it.priority == pivot && ties > 0) {
+        --ties;
+        return false;
+      }
+      return true;
+    });
+  }
+  for (auto& it : candidates) it.threshold = std::min(it.threshold, t_final);
+  acc.current = std::move(candidates);
+  acc.expired.insert(acc.expired.end(), in_expired.begin(), in_expired.end());
+  StableSortByTime(acc.expired);
+}
+
+void ExpectSameState(const ChainState& merged, const ChainState& reference) {
+  EXPECT_EQ(Bits(merged.last_time), Bits(reference.last_time));
+  ExpectSameItems(merged.current, reference.current);
+  ExpectSameItems(merged.expired, reference.expired);
+}
+
 class TimeAxisMergeSweep : public ::testing::TestWithParam<uint64_t> {};
+
+// Builds `num_inputs` window samplers -- a mix of empty samplers,
+// all-expired histories (arrivals ending long before everyone else's
+// clock) and live windows, each with its own k -- and a k-sampler
+// accumulator, warm half the time; merges them with MergeMany and with
+// the explicit Merge chain, and checks both against the reference chain.
+void ExpectWindowMergeManyMatchesChain(Xoshiro256& rng, size_t k,
+                                       size_t num_inputs, uint64_t seed) {
+  const double window = 1.0;
+  std::vector<SlidingWindowSampler> inputs;
+  uint64_t id = 1000;
+  for (size_t s = 0; s < num_inputs; ++s) {
+    SlidingWindowSampler in(1 + rng.NextBelow(2 * k + 1), window,
+                            seed * 100 + s);
+    const uint64_t kind = rng.NextBelow(4);
+    if (kind != 0) {
+      const double start = kind == 1 ? 0.0 : 4.0;  // kind 1: expires out
+      const double span = kind == 3 ? 0.4 : 1.6;
+      const size_t n = 1 + rng.NextBelow(200);
+      for (size_t i = 0; i < n; ++i) {
+        in.Arrive(start + span * static_cast<double>(i) /
+                              static_cast<double>(n),
+                  id++);
+      }
+    }
+    inputs.push_back(std::move(in));
+  }
+  SlidingWindowSampler seq(k, window, seed + 31);
+  SlidingWindowSampler many(k, window, seed + 31);
+  if (rng.NextBelow(2) == 0) {
+    const size_t n = 1 + rng.NextBelow(120);
+    for (size_t i = 0; i < n; ++i) {
+      const double t =
+          4.0 + 1.2 * static_cast<double>(i) / static_cast<double>(n);
+      seq.Arrive(t, id);
+      many.Arrive(t, id);
+      ++id;
+    }
+  }
+  ChainState reference = ChainStateOf(many);
+  std::vector<const SlidingWindowSampler*> ptrs;
+  for (const auto& in : inputs) {
+    ptrs.push_back(&in);
+    ReferenceMergeStep(reference, ChainStateOf(in));
+  }
+
+  for (const auto* in : ptrs) seq.Merge(*in);
+  many.MergeMany(ptrs);
+
+  // Byte-level equality covers every observable at once: current and
+  // expired regions (ids, times, priorities, per-item thresholds, in
+  // order), last_time, and the untouched RNG stream.
+  ASSERT_EQ(many.SerializeToString(), seq.SerializeToString())
+      << "k=" << k << " inputs=" << num_inputs;
+  ExpectSameState(ChainStateOf(many), reference);
+  ASSERT_DOUBLE_EQ(many.ImprovedThreshold(many.last_time()),
+                   seq.ImprovedThreshold(seq.last_time()));
+  ASSERT_DOUBLE_EQ(many.GlThreshold(many.last_time()),
+                   seq.GlThreshold(seq.last_time()));
+}
 
 TEST_P(TimeAxisMergeSweep, WindowMergeManyEqualsSequentialPairwise) {
   Xoshiro256 rng(GetParam() * 271 + 5);
-  const double window = 1.0;
   for (size_t k : {1u, 4u, 24u}) {
     const size_t num_inputs = 1 + rng.NextBelow(6);
-    std::vector<SlidingWindowSampler> inputs;
-    uint64_t id = 1000;
-    for (size_t s = 0; s < num_inputs; ++s) {
-      // Mix of empty samplers, all-expired histories (arrivals ending
-      // long before everyone else's clock), and live windows; input k
-      // varies independently of the accumulator's.
-      SlidingWindowSampler in(1 + rng.NextBelow(2 * k + 1), window,
-                              GetParam() * 100 + s);
-      const uint64_t kind = rng.NextBelow(4);
-      if (kind != 0) {
-        const double start = kind == 1 ? 0.0 : 4.0;  // kind 1: expires out
-        const double span = kind == 3 ? 0.4 : 1.6;
-        const size_t n = 1 + rng.NextBelow(200);
-        for (size_t i = 0; i < n; ++i) {
-          in.Arrive(start + span * static_cast<double>(i) /
-                                static_cast<double>(n),
-                    id++);
-        }
-      }
-      inputs.push_back(std::move(in));
-    }
-    // Accumulator: warm half the time.
-    SlidingWindowSampler seq(k, window, GetParam() + 31);
-    SlidingWindowSampler many(k, window, GetParam() + 31);
-    if (rng.NextBelow(2) == 0) {
-      const size_t n = 1 + rng.NextBelow(120);
-      for (size_t i = 0; i < n; ++i) {
-        const double t = 4.0 + 1.2 * static_cast<double>(i) /
-                                   static_cast<double>(n);
-        seq.Arrive(t, id);
-        many.Arrive(t, id);
-        ++id;
-      }
-    }
-    std::vector<const SlidingWindowSampler*> ptrs;
-    for (const auto& in : inputs) ptrs.push_back(&in);
-
-    for (const auto* in : ptrs) seq.Merge(*in);
-    many.MergeMany(ptrs);
-
-    // Byte-level equality covers every observable at once: current and
-    // expired regions (ids, times, priorities, per-item thresholds, in
-    // order), last_time, and the untouched RNG stream.
-    ASSERT_EQ(many.SerializeToString(), seq.SerializeToString())
-        << "k=" << k << " inputs=" << num_inputs;
-    ASSERT_DOUBLE_EQ(many.ImprovedThreshold(many.last_time()),
-                     seq.ImprovedThreshold(seq.last_time()));
-    ASSERT_DOUBLE_EQ(many.GlThreshold(many.last_time()),
-                     seq.GlThreshold(seq.last_time()));
+    ExpectWindowMergeManyMatchesChain(rng, k, num_inputs, GetParam());
+  }
+  // Wide fan-ins, odd and even: the expired union of many runs.
+  for (size_t num_inputs : {8u, 9u, 32u, 33u}) {
+    ExpectWindowMergeManyMatchesChain(rng, 4 + rng.NextBelow(40), num_inputs,
+                                      GetParam());
   }
 }
 
-TEST_P(TimeAxisMergeSweep, WindowMergeManyFramesEqualsDeserializeChain) {
-  Xoshiro256 rng(GetParam() * 613 + 17);
+// Serialized windows over disjoint id ranges, merged by MergeManyFrames
+// and by the Deserialize + Merge chain, and checked against the
+// reference chain.
+void ExpectWindowMergeManyFramesMatchesChain(Xoshiro256& rng, size_t k,
+                                             size_t num_inputs,
+                                             uint64_t seed) {
   const double window = 1.0;
-  const size_t k = 1 + rng.NextBelow(16);
-  const size_t num_inputs = 1 + rng.NextBelow(5);
   std::vector<std::string> frames;
   for (size_t s = 0; s < num_inputs; ++s) {
     const double rate = 50.0 + double(rng.NextBelow(400));
     const double horizon = rng.NextBelow(3) == 0 ? 0.3 : 3.0;
-    frames.push_back(
-        MakeWindowSampler(1 + rng.NextBelow(20), window, rate, horizon,
-                          GetParam() * 50 + s)
-            .SerializeToString());
+    frames.push_back(MakeWindowSampler(1 + rng.NextBelow(20), window, rate,
+                                       horizon, seed * 50 + s)
+                         .SerializeToString());
   }
   SlidingWindowSampler seq(k, window, 7), many(k, window, 7);
+  ChainState reference = ChainStateOf(many);
   for (const std::string& f : frames) {
     auto in = SlidingWindowSampler::Deserialize(std::string_view(f));
     ASSERT_TRUE(in.has_value());
     seq.Merge(*in);
+    ReferenceMergeStep(reference, ChainStateOf(*in));
   }
   std::vector<std::string_view> views(frames.begin(), frames.end());
   ASSERT_TRUE(many.MergeManyFrames(views));
-  ASSERT_EQ(many.SerializeToString(), seq.SerializeToString());
+  ASSERT_EQ(many.SerializeToString(), seq.SerializeToString())
+      << "k=" << k << " inputs=" << num_inputs;
+  ExpectSameState(ChainStateOf(many), reference);
+}
+
+TEST_P(TimeAxisMergeSweep, WindowMergeManyFramesEqualsDeserializeChain) {
+  Xoshiro256 rng(GetParam() * 613 + 17);
+  const size_t k = 1 + rng.NextBelow(16);
+  ExpectWindowMergeManyFramesMatchesChain(rng, k, 1 + rng.NextBelow(5),
+                                          GetParam());
+  for (size_t num_inputs : {8u, 9u, 32u, 33u}) {
+    ExpectWindowMergeManyFramesMatchesChain(rng, 1 + rng.NextBelow(40),
+                                            num_inputs, GetParam());
+  }
 }
 
 TEST_P(TimeAxisMergeSweep, DecayMergeManyEqualsSequentialPairwise) {
@@ -598,6 +720,101 @@ TEST(TimeAxisMerge, EqualTimesKeepTheAccumulatorFirst) {
   const std::vector<std::string_view> frames{frame_a};
   ASSERT_TRUE(ba->MergeManyFrames(frames));
   EXPECT_EQ(ids_of(*ba), (std::vector<uint64_t>{4, 1, 5, 2, 6, 3}));
+}
+
+TEST(TimeAxisMerge, ExpiredTiesAcrossManyInputsKeepSpanOrder) {
+  // Six frames and the accumulator all hold expired entries at the same
+  // two times, so the expired union is one run of ties per time: the
+  // accumulator's entry first, then the inputs' in span order.
+  const auto frame_of = [](uint64_t id, double priority) {
+    return HandcraftedWindowFrame(
+        4, 1.0, 10.0, {{id, 9.5, priority / 2.0, 0.6}},
+        {{id + 1, 8.5, priority, 0.6}, {id + 2, 8.8, priority, 0.6}});
+  };
+  const std::string accumulator = frame_of(10, 0.3);
+  std::vector<std::string> frames;
+  for (uint64_t s = 0; s < 6; ++s) {
+    frames.push_back(frame_of(100 * (s + 1), 0.1 + 0.05 * double(s)));
+  }
+  std::vector<uint64_t> expected{11};
+  for (uint64_t s = 0; s < 6; ++s) expected.push_back(100 * (s + 1) + 1);
+  expected.push_back(12);
+  for (uint64_t s = 0; s < 6; ++s) expected.push_back(100 * (s + 1) + 2);
+
+  auto by_frames = SlidingWindowSampler::Deserialize(accumulator);
+  auto by_samplers = SlidingWindowSampler::Deserialize(accumulator);
+  auto by_chain = SlidingWindowSampler::Deserialize(accumulator);
+  ASSERT_TRUE(by_frames && by_samplers && by_chain);
+  std::vector<SlidingWindowSampler> inputs;
+  for (const std::string& f : frames) {
+    auto in = SlidingWindowSampler::Deserialize(std::string_view(f));
+    ASSERT_TRUE(in.has_value());
+    by_chain->Merge(*in);
+    inputs.push_back(*std::move(in));
+  }
+  std::vector<const SlidingWindowSampler*> ptrs;
+  for (const auto& in : inputs) ptrs.push_back(&in);
+  by_samplers->MergeMany(ptrs);
+  const std::vector<std::string_view> views(frames.begin(), frames.end());
+  ASSERT_TRUE(by_frames->MergeManyFrames(views));
+
+  for (const SlidingWindowSampler* merged :
+       {&*by_frames, &*by_samplers, &*by_chain}) {
+    std::vector<uint64_t> ids;
+    for (const auto& it : RegionsOf(*merged).expired) ids.push_back(it.id);
+    EXPECT_EQ(ids, expected);
+  }
+  EXPECT_EQ(by_frames->SerializeToString(), by_chain->SerializeToString());
+  EXPECT_EQ(by_samplers->SerializeToString(), by_chain->SerializeToString());
+}
+
+TEST(TimeAxisMerge, RatchetingClockReclassifiesAccumulatedItems) {
+  // Frame A stops at t = 10, frame B at 10.5. The chain merges A at 10,
+  // where A's entry at 9.2 is current: it joins the k = 2 re-cap and
+  // leaves it with threshold min(0.5, 0.3). Merging B advances the clock
+  // to 10.5, and the entry moves to the expired set with that
+  // threshold. A receiver already at 10.5 meets the entry expired, with
+  // A's own threshold 0.5, and never caps it.
+  const std::string frame_a = HandcraftedWindowFrame(
+      3, 1.0, 10.0,
+      {{1, 9.2, 0.1, 0.5}, {2, 9.6, 0.2, 0.5}, {3, 9.8, 0.3, 0.5}}, {});
+  const std::string frame_b = HandcraftedWindowFrame(
+      3, 1.0, 10.5, {{4, 10.1, 0.05, 0.4}, {5, 10.4, 0.15, 0.4}}, {});
+  const std::vector<std::string_view> frames{frame_a, frame_b};
+
+  SlidingWindowSampler by_frames(2, 1.0, 1);
+  ASSERT_TRUE(by_frames.MergeManyFrames(frames));
+  SlidingWindowSampler by_chain(2, 1.0, 1);
+  SlidingWindowSampler by_samplers(2, 1.0, 1);
+  std::vector<SlidingWindowSampler> inputs;
+  for (std::string_view f : frames) {
+    auto in = SlidingWindowSampler::Deserialize(f);
+    ASSERT_TRUE(in.has_value());
+    by_chain.Merge(*in);
+    inputs.push_back(*std::move(in));
+  }
+  const std::vector<const SlidingWindowSampler*> ptrs{&inputs[0], &inputs[1]};
+  by_samplers.MergeMany(ptrs);
+  EXPECT_EQ(by_frames.SerializeToString(), by_chain.SerializeToString());
+  EXPECT_EQ(by_samplers.SerializeToString(), by_chain.SerializeToString());
+
+  const FrameRegions regions = RegionsOf(by_frames);
+  ASSERT_EQ(regions.expired.size(), 1u);
+  EXPECT_EQ(regions.expired[0].id, 1u);
+  EXPECT_EQ(regions.expired[0].threshold, 0.3);
+  ASSERT_EQ(regions.current.size(), 2u);
+  EXPECT_EQ(regions.current[0].id, 4u);
+  EXPECT_EQ(regions.current[1].id, 5u);
+  EXPECT_EQ(regions.current[0].threshold, 0.2);
+
+  SlidingWindowSampler advanced(2, 1.0, 1);
+  advanced.StoredCount(10.5);  // the clock at B's last_time first
+  ASSERT_TRUE(advanced.MergeManyFrames(frames));
+  const FrameRegions at_max = RegionsOf(advanced);
+  ASSERT_EQ(at_max.expired.size(), 1u);
+  EXPECT_EQ(at_max.expired[0].id, 1u);
+  EXPECT_EQ(at_max.expired[0].threshold, 0.5);
+  EXPECT_NE(advanced.SerializeToString(), by_chain.SerializeToString());
 }
 
 // ----------------------------------------------------------------------
