@@ -188,7 +188,7 @@ void BM_ConcurrentSnapshotRebuild(benchmark::State& state) {
   conc.AddBatch(items);
   uint64_t key = kStreamLen;
   for (auto _ : state) {
-    conc.Add(key++, 1e9);  // heavy weight: always accepted
+    conc.Add({key++, 1e9});  // heavy weight: always accepted
     benchmark::DoNotOptimize(conc.MergedThreshold());
   }
 }

@@ -14,9 +14,10 @@
 //   * BM_MergeFramesPairwise/S/k vs BM_MergeManyFrames/S/k -- the wire
 //     fan-in: eager Deserialize+Merge per frame (materializes every
 //     sketch) vs zero-copy frame views pruned at the global threshold.
-//   * BM_ShardedQuery{Cold,Cached} -- the dirty-epoch cache: first query
-//     pays one k-way merge, repeat queries between ingest batches are
-//     cache reads.
+//   * BM_ShardedQuery{Cold,Cached} -- the sharded front-end's
+//     (ConcurrentPrioritySampler) snapshot cache: a query after ingest
+//     copies the shards and pays one k-way merge, repeat queries between
+//     ingest batches read the published snapshot.
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,8 +27,8 @@
 #include "bench_json_main.h"
 
 #include "ats/core/bottom_k.h"
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
-#include "ats/core/sharded_sampler.h"
 
 namespace ats {
 namespace {
@@ -124,13 +125,13 @@ void BM_MergeManyFrames(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeManyFrames)->ArgsProduct({{8, 64, 512}, {256, 4096}});
 
-// --- Sharded front-end queries: cold merge vs the epoch cache ---------
+// --- Sharded front-end queries: cold merge vs the snapshot cache ------
 
 void BM_ShardedQueryCold(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 1024;
-  ShardedSampler sharded(num_shards, k);
-  std::vector<ShardedSampler::Item> items(1 << 17);
+  ConcurrentPrioritySampler sharded(num_shards, k);
+  std::vector<ConcurrentPrioritySampler::Item> items(1 << 17);
   Xoshiro256 rng(2);
   uint64_t key = 0;
   for (auto& item : items) item = {key++, 1.0 + rng.NextDouble()};
@@ -140,7 +141,7 @@ void BM_ShardedQueryCold(benchmark::State& state) {
     // One accepted offer dirties its shard's epoch, forcing a re-merge
     // (a huge weight makes the coordinated priority tiny, so the offer
     // is never rejected by the saturated threshold).
-    sharded.Add(key++, /*weight=*/1e9);
+    sharded.Add({key++, /*weight=*/1e9});
     state.ResumeTiming();
     benchmark::DoNotOptimize(sharded.Merged().threshold);
   }
@@ -152,8 +153,8 @@ BENCHMARK(BM_ShardedQueryCold)->Arg(8)->Arg(64);
 void BM_ShardedQueryCached(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 1024;
-  ShardedSampler sharded(num_shards, k);
-  std::vector<ShardedSampler::Item> items(1 << 17);
+  ConcurrentPrioritySampler sharded(num_shards, k);
+  std::vector<ConcurrentPrioritySampler::Item> items(1 << 17);
   Xoshiro256 rng(2);
   uint64_t key = 0;
   for (auto& item : items) item = {key++, 1.0 + rng.NextDouble()};

@@ -10,8 +10,9 @@
 //     state; the batch path block-filters rejects against the acceptance
 //     bound without touching the compaction buffer or payload column.
 //   * BM_SamplerAdd vs BM_SamplerAddBatch vs BM_ShardedAddBatch/S --
-//     the sharded front-end partitions work across S independent stores
-//     (the single-process proxy for S ingest threads/nodes).
+//     the sharded front-end (ConcurrentPrioritySampler) partitions work
+//     across S independent stores, each behind its own lock (the
+//     single-process proxy for S ingest threads/nodes).
 #include <thread>
 #include <vector>
 
@@ -20,9 +21,9 @@
 #include "bench_json_main.h"
 
 #include "ats/core/bottom_k.h"
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
 #include "ats/core/sample_store.h"
-#include "ats/core/sharded_sampler.h"
 
 namespace ats {
 namespace {
@@ -42,9 +43,9 @@ std::vector<uint64_t> MakeIds() {
   return out;
 }
 
-std::vector<ShardedSampler::Item> MakeItems(uint64_t seed) {
+std::vector<ConcurrentPrioritySampler::Item> MakeItems(uint64_t seed) {
   Xoshiro256 rng(seed);
-  std::vector<ShardedSampler::Item> out(kStreamLen);
+  std::vector<ConcurrentPrioritySampler::Item> out(kStreamLen);
   uint64_t key = 0;
   for (auto& item : out) {
     item.key = key++;
@@ -132,7 +133,7 @@ void BM_ShardedAddBatch(benchmark::State& state) {
   const size_t k = 1024;
   const auto items = MakeItems(2);
   for (auto _ : state) {
-    ShardedSampler sharded(num_shards, k);
+    ConcurrentPrioritySampler sharded(num_shards, k);
     const size_t retained = sharded.AddBatch(items);
     benchmark::DoNotOptimize(retained);
   }
@@ -143,20 +144,20 @@ BENCHMARK(BM_ShardedAddBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // True parallel ingestion: the stream is pre-partitioned by shard (the
 // routing cost is what BM_ShardedAddBatch measures) and S threads feed
 // their shards concurrently through AddShardBatch -- each shard owns an
-// independent store, so there is no synchronization on the hot path. On a
+// independent store and lock, so no two writers contend. On a
 // multi-core host the wall-clock time drops with S; on a single-core CI
 // box this degenerates to the sequential cost plus thread overhead.
 void BM_ShardedParallelIngest(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 1024;
   const auto items = MakeItems(2);
-  ShardedSampler router(num_shards, k);
-  std::vector<std::vector<ShardedSampler::Item>> parts(num_shards);
+  ConcurrentPrioritySampler router(num_shards, k);
+  std::vector<std::vector<ConcurrentPrioritySampler::Item>> parts(num_shards);
   for (const auto& item : items) {
     parts[router.ShardOf(item.key)].push_back(item);
   }
   for (auto _ : state) {
-    ShardedSampler sharded(num_shards, k);
+    ConcurrentPrioritySampler sharded(num_shards, k);
     std::vector<std::thread> workers;
     workers.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
@@ -173,7 +174,7 @@ BENCHMARK(BM_ShardedParallelIngest)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // Cost of producing the merged sample/threshold on demand.
 void BM_ShardedMergedSample(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
-  ShardedSampler sharded(num_shards, 1024);
+  ConcurrentPrioritySampler sharded(num_shards, 1024);
   const auto items = MakeItems(2);
   sharded.AddBatch(items);
   for (auto _ : state) {

@@ -1,7 +1,7 @@
 // Time-axis sampler benchmarks (google-benchmark): the column-backed
 // sliding window and the SampleStore-backed time-decay sampler, their
-// batched ingest paths, the k-way merges, and the sharded front-ends'
-// epoch-dirty query caches.
+// batched ingest paths, the k-way merges, and the sharded front-end's
+// (ConcurrentWindowSampler / ConcurrentDecaySampler) snapshot queries.
 //
 //   ./build/bench/bench_window
 //   ./build/bench/bench_window --json=BENCH_window.json
@@ -27,10 +27,19 @@
 //     per frame; MergeManyFrames reads zero-copy views through the same
 //     merge engine.
 //   * BM_ShardedWindowQuery{Cold,Cached} / BM_ShardedDecayQueryCached --
-//     the mutation-epoch cache: repeat queries between ingest batches
-//     are cache reads.
+//     the epoch-validated snapshot cache: a query after ingest rebuilds
+//     the snapshot, repeat queries between ingest batches read it (a
+//     window query still copies the snapshot, since queries advance
+//     expiry).
+//
+// The window merge benches (BM_WindowMerge*, BM_WindowFrames*,
+// BM_ShardedWindowQueryCold) rotate through kDataSets distinct input
+// sets, one per iteration: repeating one merge on identical data lets
+// the branch predictor learn its data-dependent branches and flatters
+// branchy code about 2x.
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,14 +48,17 @@
 
 #include "bench_json_main.h"
 
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
-#include "ats/samplers/sharded_time_axis.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/workload/arrivals.h"
 
 namespace ats {
 namespace {
+
+// Distinct input sets the window merge benches rotate through.
+constexpr size_t kDataSets = 16;
 
 // A saturated windowed stream: n arrivals at unit rate over `horizon`
 // time units, ids dense.
@@ -281,13 +293,15 @@ void BM_DecayMergeMany(benchmark::State& state) {
 }
 BENCHMARK(BM_DecayMergeMany)->ArgsProduct({{8, 64}, {256, 4096}});
 
-// Windowed wire fan-in: S shard frames over a shared timeline.
-std::vector<std::string> MakeWindowFrames(size_t fan_in, size_t k) {
+// Windowed wire fan-in: S shard frames over a shared timeline; `set`
+// varies every shard's priority stream.
+std::vector<std::string> MakeWindowFrames(size_t fan_in, size_t k,
+                                          size_t set) {
   std::vector<std::string> frames;
   frames.reserve(fan_in);
   for (size_t s = 0; s < fan_in; ++s) {
-    frames.push_back(
-        MakeWindow(k, 1.0, 4 * k, 0x51ULL * (s + 1)).SerializeToString());
+    frames.push_back(MakeWindow(k, 1.0, 4 * k, 0x51ULL * (s + 1) + set)
+                         .SerializeToString());
   }
   return frames;
 }
@@ -296,14 +310,15 @@ std::vector<std::string> MakeWindowFrames(size_t fan_in, size_t k) {
 // ids) up to t = 4.5: the expired region holds the spike's first half,
 // the current one its second. Never queried, so each shard carries the
 // dead prefix, tombstones and lazy thresholds a dashboard shard copy
-// does.
-std::vector<SlidingWindowSampler> MakeSpikeShards(size_t fan_in, size_t k) {
+// does. `set` varies every shard's arrival and priority streams.
+std::vector<SlidingWindowSampler> MakeSpikeShards(size_t fan_in, size_t k,
+                                                  size_t set) {
   std::vector<SlidingWindowSampler> shards;
   shards.reserve(fan_in);
   for (size_t s = 0; s < fan_in; ++s) {
-    SlidingWindowSampler shard(k, 1.0, 0x51ULL * (s + 1));
+    SlidingWindowSampler shard(k, 1.0, 0x51ULL * (s + 1) + set);
     ArrivalProcess process(RateProfile::WithSpike(312.5, 3.0, 4.0, 6.0),
-                           312.5 * 6.0, 7 + s);
+                           312.5 * 6.0, 7 + s + 1000 * set);
     for (const Arrival& a : process.Until(4.5)) {
       shard.Arrive(a.time, (uint64_t{s} << 32) | a.id);
     }
@@ -315,10 +330,14 @@ std::vector<SlidingWindowSampler> MakeSpikeShards(size_t fan_in, size_t k) {
 void BM_WindowMergePairwise(benchmark::State& state) {
   const size_t fan_in = static_cast<size_t>(state.range(0));
   const size_t k = 128;
-  const auto shards = MakeSpikeShards(fan_in, k);
+  std::vector<std::vector<SlidingWindowSampler>> sets;
+  for (size_t r = 0; r < kDataSets; ++r) {
+    sets.push_back(MakeSpikeShards(fan_in, k, r));
+  }
+  size_t iteration = 0;
   for (auto _ : state) {
     SlidingWindowSampler acc(k, 1.0, 1);
-    for (const auto& shard : shards) acc.Merge(shard);
+    for (const auto& shard : sets[iteration++ % kDataSets]) acc.Merge(shard);
     benchmark::DoNotOptimize(acc.ImprovedThreshold(acc.last_time()));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -329,12 +348,18 @@ BENCHMARK(BM_WindowMergePairwise)->Arg(2)->Arg(8)->Arg(32);
 void BM_WindowMergeMany(benchmark::State& state) {
   const size_t fan_in = static_cast<size_t>(state.range(0));
   const size_t k = 128;
-  const auto shards = MakeSpikeShards(fan_in, k);
-  std::vector<const SlidingWindowSampler*> inputs;
-  for (const auto& shard : shards) inputs.push_back(&shard);
+  std::vector<std::vector<SlidingWindowSampler>> sets;
+  std::vector<std::vector<const SlidingWindowSampler*>> inputs(kDataSets);
+  for (size_t r = 0; r < kDataSets; ++r) {
+    sets.push_back(MakeSpikeShards(fan_in, k, r));
+  }
+  for (size_t r = 0; r < kDataSets; ++r) {
+    for (const auto& shard : sets[r]) inputs[r].push_back(&shard);
+  }
+  size_t iteration = 0;
   for (auto _ : state) {
     SlidingWindowSampler acc(k, 1.0, 1);
-    acc.MergeMany(inputs);
+    acc.MergeMany(inputs[iteration++ % kDataSets]);
     benchmark::DoNotOptimize(acc.ImprovedThreshold(acc.last_time()));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -345,10 +370,14 @@ BENCHMARK(BM_WindowMergeMany)->Arg(2)->Arg(8)->Arg(32);
 void BM_WindowFramesEager(benchmark::State& state) {
   const size_t fan_in = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(state.range(1));
-  const auto frames = MakeWindowFrames(fan_in, k);
+  std::vector<std::vector<std::string>> sets;
+  for (size_t r = 0; r < kDataSets; ++r) {
+    sets.push_back(MakeWindowFrames(fan_in, k, r));
+  }
+  size_t iteration = 0;
   for (auto _ : state) {
     SlidingWindowSampler acc(k, 1.0, 1);
-    for (const auto& frame : frames) {
+    for (const auto& frame : sets[iteration++ % kDataSets]) {
       auto in = SlidingWindowSampler::Deserialize(std::string_view(frame));
       acc.Merge(*in);
     }
@@ -362,11 +391,18 @@ BENCHMARK(BM_WindowFramesEager)->ArgsProduct({{8, 64}, {64, 512}});
 void BM_WindowFramesViews(benchmark::State& state) {
   const size_t fan_in = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(state.range(1));
-  const auto frames = MakeWindowFrames(fan_in, k);
-  std::vector<std::string_view> views(frames.begin(), frames.end());
+  std::vector<std::vector<std::string>> sets;
+  std::vector<std::vector<std::string_view>> views;
+  for (size_t r = 0; r < kDataSets; ++r) {
+    sets.push_back(MakeWindowFrames(fan_in, k, r));
+  }
+  for (const auto& frames : sets) {
+    views.emplace_back(frames.begin(), frames.end());
+  }
+  size_t iteration = 0;
   for (auto _ : state) {
     SlidingWindowSampler acc(k, 1.0, 1);
-    const bool ok = acc.MergeManyFrames(views);
+    const bool ok = acc.MergeManyFrames(views[iteration++ % kDataSets]);
     benchmark::DoNotOptimize(ok);
     benchmark::DoNotOptimize(acc.ImprovedThreshold(acc.last_time()));
   }
@@ -378,17 +414,24 @@ BENCHMARK(BM_WindowFramesViews)->ArgsProduct({{8, 64}, {64, 512}});
 void BM_ShardedWindowQueryCold(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 256;
-  ShardedWindowSampler sharded(num_shards, k, 1.0, 5);
-  for (size_t i = 0; i < 40000; ++i) {
-    sharded.Arrive(static_cast<double>(i) / 2000.0, i);
+  // One front-end per data set, each seeded differently.
+  std::vector<std::unique_ptr<ConcurrentWindowSampler>> sets;
+  for (size_t r = 0; r < kDataSets; ++r) {
+    sets.push_back(std::make_unique<ConcurrentWindowSampler>(
+        num_shards, k, 1.0, 5 + r));
+    for (size_t i = 0; i < 40000; ++i) {
+      sets.back()->Add({static_cast<double>(i) / 2000.0, i});
+    }
   }
   const double now = 20.0;
   uint64_t extra = 1000000;
+  size_t iteration = 0;
   for (auto _ : state) {
+    ConcurrentWindowSampler& sharded = *sets[iteration++ % kDataSets];
     // One arrival between queries keeps the cache dirty: every query
     // pays the full k-way rebuild.
     state.PauseTiming();
-    sharded.Arrive(now, extra++);
+    sharded.Add({now, extra++});
     state.ResumeTiming();
     benchmark::DoNotOptimize(sharded.ImprovedThreshold(now));
   }
@@ -400,9 +443,9 @@ BENCHMARK(BM_ShardedWindowQueryCold)->Arg(8);
 void BM_ShardedWindowQueryCached(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 256;
-  ShardedWindowSampler sharded(num_shards, k, 1.0, 5);
+  ConcurrentWindowSampler sharded(num_shards, k, 1.0, 5);
   for (size_t i = 0; i < 40000; ++i) {
-    sharded.Arrive(static_cast<double>(i) / 2000.0, i);
+    sharded.Add({static_cast<double>(i) / 2000.0, i});
   }
   const double now = 20.0;
   benchmark::DoNotOptimize(sharded.ImprovedThreshold(now));  // warm
@@ -417,7 +460,7 @@ BENCHMARK(BM_ShardedWindowQueryCached)->Arg(8);
 void BM_ShardedDecayQueryCached(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   const size_t k = 256;
-  ShardedDecaySampler sharded(num_shards, k, 5);
+  ConcurrentDecaySampler sharded(num_shards, k, 5);
   Xoshiro256 rng(9);
   std::vector<TimeDecaySampler::TimedItem> items(40000);
   uint64_t key = 0;

@@ -1,13 +1,23 @@
-// Concurrent ingestion tier: internally thread-safe streaming front-ends
-// with striped shard locks and epoch-snapshot queries.
+// The sharded ingestion front-end (Section 2.5): internally thread-safe
+// streaming samplers with striped shard locks and epoch-snapshot queries.
 //
-// Everything below tier 4 treats thread-parallelism as the caller's
-// problem: ShardedSampler::AddShardBatch is only safe when callers
-// hand-partition shards across their own threads, and every query API
-// must be quiesced against ingest. ConcurrentSampler<Scenario> closes
-// that gap. It owns S shards -- each an ordinary full-capacity sampler
-// over a disjoint hash partition of the key space -- and offers one
-// write path plus one read protocol:
+// ConcurrentSampler<Scenario> owns S shards -- each an ordinary
+// full-capacity sampler over a disjoint hash partition of the key space
+// -- and offers one write path plus one read protocol. It is the
+// library's only sharded front-end; the four public names at the bottom
+// (ConcurrentPrioritySampler, ConcurrentKmvSketch,
+// ConcurrentWindowSampler, ConcurrentDecaySampler) are aliases of it.
+//
+// Why sharding is exact. With coordinated (hash-derived) priorities the
+// per-shard streams are disjoint, so every one of the global bottom-k
+// priorities is among its own shard's bottom-k, and the merge threshold
+// (min of the shard thresholds and the merge evictions) recovers the
+// global (k+1)-th smallest priority: the merged sample and threshold are
+// EXACTLY those of one k-capacity store fed the whole stream, and
+// substitutability (Theorem 6) lets the plain HT estimators use the
+// merged threshold unchanged. With independent priorities the merged
+// sample is a valid bottom-k sample (unbiased HT estimates), just not
+// bit-identical to a particular single-store run.
 //
 // Write path (Add / AddBatch / AddShardBatch). An ingest call
 // partitions its batch into per-shard runs, takes each touched shard's
@@ -43,8 +53,8 @@
 // system actually ingested -- "epoch consistency". With coordinated
 // (hash-derived) priorities the snapshot taken after writers quiesce is
 // EXACTLY the single-store sample of the concatenated stream (the
-// substitutable-threshold argument of sharded_sampler.h), which the
-// concurrent-equivalence differential tests pin down.
+// argument above), which the concurrent-equivalence differential tests
+// pin down.
 //
 // Time-axis scenarios (window, decay) need non-decreasing arrival times
 // per shard, so several writers feeding ONE such sampler must own
@@ -56,12 +66,9 @@
 //
 // Scenarios. The template is instantiated for every sampling scenario
 // in the library through small trait structs (routing key, per-shard
-// ingest, epoch accessor, k-way merge); the concrete front-ends below
-// -- ConcurrentPrioritySampler, ConcurrentKmvSketch,
-// ConcurrentWindowSampler, ConcurrentDecaySampler -- wrap the existing
-// sharded layouts (same routing salts, same per-shard seeds, same
-// merge), so the concurrent and sequential front-ends are
-// bit-equivalent over the same per-shard streams.
+// ingest, epoch accessor, k-way merge). Each trait also carries a CRTP
+// query block -- the scenario's one-line queries over Snapshot(), such
+// as the priority scenario's Merged() -- that the template inherits.
 #ifndef ATS_CORE_CONCURRENT_SAMPLER_H_
 #define ATS_CORE_CONCURRENT_SAMPLER_H_
 
@@ -76,7 +83,8 @@
 #include "ats/core/epoch_cache.h"
 #include "ats/core/random.h"
 #include "ats/core/shard_routing.h"
-#include "ats/core/sharded_sampler.h"
+#include "ats/core/bottom_k.h"
+#include "ats/core/threshold.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
 #include "ats/sketch/kmv.h"
@@ -87,7 +95,7 @@ namespace ats {
 namespace internal {
 
 /// lock_guard that counts the acquisition. Every mutex acquisition in
-/// the concurrent tier goes through this, so the clean-read probe test
+/// the sharded front-end goes through this, so the clean-read probe test
 /// can assert that a clean Snapshot() acquires NOTHING.
 class CountedLockGuard {
  public:
@@ -106,40 +114,46 @@ class CountedLockGuard {
 /// trait struct binding the template to one sampling scheme:
 ///
 ///   struct Scenario {
-///     using Shard = ...;    // per-shard sampler (copyable)
-///     using Item = ...;     // one ingest record
-///     using Merged = ...;   // merged snapshot type
-///     struct Config {...};  // construction parameters (k, seed, ...)
+///     using Shard = ...;         // per-shard sampler (copyable)
+///     using Item = ...;          // one ingest record
+///     using SnapshotType = ...;  // merged snapshot type
+///     struct Config {...};       // k first, later fields defaulted
+///     template <typename Derived> class Queries;  // CRTP query block
 ///     static constexpr uint64_t kRouteSalt;           // shard routing
 ///     static Shard MakeShard(const Config&, size_t shard);
 ///     static uint64_t RouteKey(const Item&);
 ///     static size_t Ingest(Shard&, std::span<const Item>);
 ///     static uint64_t Epoch(const Shard&);  // O(1), non-canonicalizing
-///     static Merged MergeShards(const Config&,
-///                               std::span<const Shard* const>);
+///     static SnapshotType MergeShards(const Config&,
+///                                     std::span<const Shard* const>);
 ///     static size_t Retained(const Shard&);  // optional
 ///   };
 ///
-/// Thread-safety contract (every public method unless noted): safe to
-/// call from any number of threads concurrently with any other method.
+/// Thread-safety contract (every public method, the inherited queries
+/// included, unless noted): safe to call from any number of threads
+/// concurrently with any other method.
 template <typename Scenario>
-class ConcurrentSampler {
+class ConcurrentSampler
+    : public Scenario::template Queries<ConcurrentSampler<Scenario>> {
  public:
   using Config = typename Scenario::Config;
   using Item = typename Scenario::Item;
   using Shard = typename Scenario::Shard;
-  using Merged = typename Scenario::Merged;
+  using SnapshotType = typename Scenario::SnapshotType;
 
-  /// Builds `num_shards` independent shard samplers from `config`.
-  /// Construction itself is single-threaded (the object may be shared
-  /// across threads once the constructor returns).
-  ConcurrentSampler(size_t num_shards, const Config& config)
-      : config_(config), published_(num_shards) {
+  /// Builds `num_shards` independent shard samplers from the `Config`
+  /// fields (`k` first; the rest default). The shard constructors check
+  /// the fields (k >= 1; window > 0 for the window). Construction itself
+  /// is single-threaded (the object may be shared across threads once
+  /// the constructor returns).
+  template <typename... Fields>
+  explicit ConcurrentSampler(size_t num_shards, Fields&&... fields)
+      : config_(std::forward<Fields>(fields)...), published_(num_shards) {
     ATS_CHECK(num_shards >= 1);
     shards_.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       shards_.push_back(
-          std::make_unique<ShardSlot>(Scenario::MakeShard(config, s)));
+          std::make_unique<ShardSlot>(Scenario::MakeShard(config_, s)));
       published_.Publish(s, Scenario::Epoch(shards_.back()->sampler));
     }
   }
@@ -217,14 +231,14 @@ class ConcurrentSampler {
   /// concurrently. It stays valid (and internally consistent) for as
   /// long as the pointer is held, no matter how much ingest happens
   /// after.
-  std::shared_ptr<const Merged> Snapshot() const {
+  std::shared_ptr<const SnapshotType> Snapshot() const {
     auto state = AcquireSnapshot();
     if (state == nullptr || !published_.Matches(state->epochs)) {
       state = RebuildSnapshot();
     }
     // Aliasing pointer: shares ownership of the whole snapshot state,
     // points at the merged sampler inside it.
-    return std::shared_ptr<const Merged>(state, &state->merged);
+    return std::shared_ptr<const SnapshotType>(state, &state->merged);
   }
 
   /// Total items currently retained across the shards (>= the merged
@@ -296,9 +310,9 @@ class ConcurrentSampler {
   /// published pointer back to shared ownership without any
   /// atomic<shared_ptr> machinery.
   struct SnapshotState : std::enable_shared_from_this<SnapshotState> {
-    SnapshotState(Merged m, std::vector<uint64_t> e)
+    SnapshotState(SnapshotType m, std::vector<uint64_t> e)
         : merged(std::move(m)), epochs(std::move(e)) {}
-    Merged merged;
+    SnapshotType merged;
     std::vector<uint64_t> epochs;
   };
 
@@ -406,17 +420,26 @@ class ConcurrentSampler {
 
 namespace internal {
 
-/// Scenario: weighted bottom-k priority sampling (the ShardedSampler
-/// shard layout -- same per-shard seeds, same merge).
+/// The current snapshot of the front-end whose query block is `block`
+/// (the scenarios' CRTP query blocks read through this).
+template <typename Derived, typename Block>
+auto SnapshotOf(const Block* block) {
+  return static_cast<const Derived*>(block)->Snapshot();
+}
+
+/// Scenario: weighted bottom-k priority sampling. With coordinated
+/// priorities (the default) the merged snapshot after writers quiesce is
+/// EXACTLY the single-store sample of the concatenated stream; `seed`
+/// drives the per-shard RNGs in independent mode.
 struct PriorityScenario {
   struct Config {
     size_t k;
-    bool coordinated;
-    uint64_t seed;
+    bool coordinated = true;
+    uint64_t seed = 1;
   };
   using Shard = PrioritySampler;
   using Item = PrioritySampler::Item;
-  using Merged = BottomK<Item>;
+  using SnapshotType = BottomK<Item>;
   static constexpr uint64_t kRouteSalt = kShardRouteSalt;
   static Shard MakeShard(const Config& config, size_t shard) {
     return PrioritySampler(config.k,
@@ -431,8 +454,32 @@ struct PriorityScenario {
     return shard.sketch().store().mutation_epoch();
   }
   static size_t Retained(const Shard& shard) { return shard.size(); }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  static SnapshotType MergeShards(const Config& config,
+                                  std::span<const Shard* const> shards);
+
+  /// Queries, each on one snapshot.
+  template <typename Derived>
+  class Queries {
+   public:
+    /// Sample and threshold together (one snapshot for both).
+    struct MergedSample {
+      std::vector<SampleEntry> entries;
+      double threshold;
+    };
+    MergedSample Merged() const {
+      const auto snapshot = SnapshotOf<Derived>(this);
+      return {MakeWeightedSample(snapshot->store()), snapshot->Threshold()};
+    }
+    /// Merged sample with inclusion probabilities at the merged threshold.
+    std::vector<SampleEntry> Sample() const {
+      return MakeWeightedSample(SnapshotOf<Derived>(this)->store());
+    }
+    /// The merged adaptive threshold (the global (k+1)-th smallest
+    /// priority in coordinated mode).
+    double MergedThreshold() const {
+      return SnapshotOf<Derived>(this)->Threshold();
+    }
+  };
 };
 
 /// Scenario: KMV/Theta distinct counting. Every shard hashes with the
@@ -441,11 +488,11 @@ struct PriorityScenario {
 struct KmvScenario {
   struct Config {
     size_t k;
-    uint64_t hash_salt;
+    uint64_t hash_salt = 0;
   };
   using Shard = KmvSketch;
   using Item = uint64_t;
-  using Merged = KmvSketch;
+  using SnapshotType = KmvSketch;
   static constexpr uint64_t kRouteSalt = kShardRouteSalt;
   static Shard MakeShard(const Config& config, size_t /*shard*/) {
     return KmvSketch(config.k, /*initial_threshold=*/1.0,
@@ -459,23 +506,37 @@ struct KmvScenario {
     return shard.store().mutation_epoch();
   }
   static size_t Retained(const Shard& shard) { return shard.size(); }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  static SnapshotType MergeShards(const Config& config,
+                                  std::span<const Shard* const> shards);
+
+  /// Queries, each on one snapshot.
+  template <typename Derived>
+  class Queries {
+   public:
+    /// Unbiased distinct-count estimate.
+    double Estimate() const { return SnapshotOf<Derived>(this)->Estimate(); }
+    /// Merged threshold theta.
+    double Threshold() const {
+      return SnapshotOf<Derived>(this)->Threshold();
+    }
+    /// Retained distinct priorities in the merged sketch.
+    size_t MergedSize() const { return SnapshotOf<Derived>(this)->size(); }
+  };
 };
 
-/// Scenario: sliding-window sampling (the ShardedWindowSampler shard
-/// layout). Per shard, arrival times must be non-decreasing. That
-/// means: one routing writer, or several writers owning disjoint shards
-/// (AddShardBatch) each in time order -- two routed writers interleave
-/// whole runs per shard and can hand a shard out-of-order times
-/// (tolerated silently; the sample would be quietly biased). Writers
-/// whose streams share shards each keep their own sequential sampler
-/// instead, merged with MergeMany at query time (see the file header).
+/// Scenario: sliding-window sampling. Per shard, arrival times must be
+/// non-decreasing. That means: one routing writer, or several writers
+/// owning disjoint shards (AddShardBatch) each in time order -- two
+/// routed writers interleave whole runs per shard and can hand a shard
+/// out-of-order times (tolerated silently; the sample would be quietly
+/// biased). Writers whose streams share shards each keep their own
+/// sequential sampler instead, merged with MergeMany at query time (see
+/// the file header).
 struct WindowScenario {
   struct Config {
     size_t k;
     double window;
-    uint64_t seed;
+    uint64_t seed = 1;
   };
   struct Arrival {
     double time;
@@ -483,7 +544,7 @@ struct WindowScenario {
   };
   using Shard = SlidingWindowSampler;
   using Item = Arrival;
-  using Merged = SlidingWindowSampler;
+  using SnapshotType = SlidingWindowSampler;
   static constexpr uint64_t kRouteSalt = kTimeAxisRouteSalt;
   static Shard MakeShard(const Config& config, size_t shard) {
     return SlidingWindowSampler(config.k, config.window,
@@ -500,25 +561,51 @@ struct WindowScenario {
   static uint64_t Epoch(const Shard& shard) {
     return shard.mutation_epoch();
   }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  static SnapshotType MergeShards(const Config& config,
+                                  std::span<const Shard* const> shards);
+
+  /// Queries of the merged windowed sample at `now` (>= the times
+  /// already ingested). Window queries advance expiry, so each runs on a
+  /// private O(k) copy of one snapshot; the shared snapshot is never
+  /// mutated.
+  template <typename Derived>
+  class Queries {
+   public:
+    using Arrival = WindowScenario::Arrival;
+    double ImprovedThreshold(double now) const {
+      return Copy().ImprovedThreshold(now);
+    }
+    double GlThreshold(double now) const { return Copy().GlThreshold(now); }
+    std::vector<SampleEntry> ImprovedSample(double now) const {
+      return Copy().ImprovedSample(now);
+    }
+    std::vector<SampleEntry> GlSample(double now) const {
+      return Copy().GlSample(now);
+    }
+    /// Stored items (current + expired) in the merged sampler.
+    size_t MergedStoredCount(double now) const {
+      return Copy().StoredCount(now);
+    }
+
+   private:
+    SlidingWindowSampler Copy() const { return *SnapshotOf<Derived>(this); }
+  };
 };
 
-/// Scenario: time-decayed sampling (the ShardedDecaySampler shard
-/// layout). Per shard, item times must be non-decreasing -- the same
-/// ingest-pattern contract as WindowScenario, with the same two
-/// recipes: one routing writer or disjoint shard ownership, or one
-/// sequential sampler per writer merged with MergeMany. (The keyed
-/// scenarios have no such constraint: any number of routed writers is
-/// always valid for bottom-k and KMV.)
+/// Scenario: time-decayed sampling. Per shard, item times must be
+/// non-decreasing -- the same ingest-pattern contract as WindowScenario,
+/// with the same two recipes: one routing writer or disjoint shard
+/// ownership, or one sequential sampler per writer merged with
+/// MergeMany. (The keyed scenarios have no such constraint: any number
+/// of routed writers is always valid for bottom-k and KMV.)
 struct DecayScenario {
   struct Config {
     size_t k;
-    uint64_t seed;
+    uint64_t seed = 1;
   };
   using Shard = TimeDecaySampler;
   using Item = TimeDecaySampler::TimedItem;
-  using Merged = TimeDecaySampler;
+  using SnapshotType = TimeDecaySampler;
   static constexpr uint64_t kRouteSalt = kTimeAxisRouteSalt;
   static Shard MakeShard(const Config& config, size_t shard) {
     return TimeDecaySampler(config.k,
@@ -532,285 +619,48 @@ struct DecayScenario {
     return shard.mutation_epoch();
   }
   static size_t Retained(const Shard& shard) { return shard.size(); }
-  static Merged MergeShards(const Config& config,
-                            std::span<const Shard* const> shards);
+  static SnapshotType MergeShards(const Config& config,
+                                  std::span<const Shard* const> shards);
+
+  /// Queries, each on one snapshot; `now` must be >= every ingested
+  /// time.
+  template <typename Derived>
+  class Queries {
+   public:
+    /// Merged adaptive threshold on the log-key scale.
+    double LogKeyThreshold() const {
+      return SnapshotOf<Derived>(this)->LogKeyThreshold();
+    }
+    /// Merged decayed sample evaluated at `now`.
+    std::vector<TimeDecaySampler::DecayedEntry> SampleAt(double now) const {
+      return SnapshotOf<Derived>(this)->SampleAt(now);
+    }
+    /// HT estimate of the decayed total at `now`.
+    double EstimateDecayedTotal(double now) const {
+      return SnapshotOf<Derived>(this)->EstimateDecayedTotal(now);
+    }
+  };
 };
 
 }  // namespace internal
 
-// Instantiated once in concurrent_sampler.cc; the concrete front-ends
-// below are the intended entry points.
+// Instantiated once in concurrent_sampler.cc.
 extern template class ConcurrentSampler<internal::PriorityScenario>;
 extern template class ConcurrentSampler<internal::KmvScenario>;
 extern template class ConcurrentSampler<internal::WindowScenario>;
 extern template class ConcurrentSampler<internal::DecayScenario>;
 
-/// Internally thread-safe weighted bottom-k (priority sampling)
-/// front-end: the concurrent counterpart of ShardedSampler, with the
-/// identical shard layout. With coordinated priorities (the default)
-/// the merged snapshot after writers quiesce is EXACTLY the
-/// single-store sample of the concatenated stream.
-class ConcurrentPrioritySampler {
- public:
-  using Item = PrioritySampler::Item;
-  using MergedSample = ShardedSampler::MergedSample;
-
-  /// num_shards: lock stripes / independent shard samplers. k: sample
-  /// capacity of every shard and of the merged sample. `coordinated`
-  /// selects hash-derived priorities (required for exact single-store
-  /// equivalence); `seed` drives per-shard RNGs in independent mode.
-  ConcurrentPrioritySampler(size_t num_shards, size_t k,
-                            bool coordinated = true, uint64_t seed = 1);
-
-  /// Shard index for a key. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t key) const;
-
-  /// Ingests one weighted item under its shard's lock. Thread-safe
-  /// against all other methods.
-  void Add(uint64_t key, double weight);
-
-  /// Routed batched ingest (see ConcurrentSampler::AddBatch).
-  /// Thread-safe against all other methods; returns the accepted count.
-  size_t AddBatch(std::span<const Item> items);
-
-  /// Pre-partitioned single-shard ingest: the zero-contention entry
-  /// point for writers that partition upstream. Thread-safe; every item
-  /// must route to `shard` (checked in debug builds).
-  size_t AddShardBatch(size_t shard, std::span<const Item> items);
-
-  /// Merged sample + threshold from one epoch-consistent snapshot.
-  /// Thread-safe; clean-cache calls acquire no lock and never block
-  /// writers.
-  MergedSample Merged() const;
-
-  /// Merged sample entries only (one snapshot). Thread-safe.
-  std::vector<SampleEntry> Sample() const;
-
-  /// Merged adaptive threshold only (one snapshot). Thread-safe.
-  double MergedThreshold() const;
-
-  /// The epoch-consistent merged bottom-k snapshot itself; immutable
-  /// and safely shareable across reader threads. Thread-safe.
-  std::shared_ptr<const BottomK<Item>> Snapshot() const;
-
-  /// Items retained across shards (per-shard instants). Thread-safe.
-  size_t TotalRetained() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests): total mutex acquisitions, and the runtime
-  /// lock-freedom check on the snapshot publication atomics.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-
- private:
-  ConcurrentSampler<internal::PriorityScenario> core_;
-};
-
-/// Internally thread-safe KMV distinct-counting front-end (and, through
-/// KMV's theta duality, the concurrent entry point for Theta-style
-/// distinct unions): shards share one hash salt, so the merged snapshot
-/// is exactly the single-sketch union of the concatenated key stream.
-class ConcurrentKmvSketch {
- public:
-
-  ConcurrentKmvSketch(size_t num_shards, size_t k, uint64_t hash_salt = 0);
-
-  /// Shard index for a key. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t key) const;
-
-  /// Ingests one key under its shard's lock. Thread-safe.
-  void AddKey(uint64_t key);
-
-  /// Routed batched ingest through each shard's fused hash pipeline.
-  /// Thread-safe; returns the number of accepted priorities.
-  size_t AddKeys(std::span<const uint64_t> keys);
-
-  /// Pre-partitioned single-shard ingest. Thread-safe.
-  size_t AddShardKeys(size_t shard, std::span<const uint64_t> keys);
-
-  /// Unbiased distinct-count estimate from one snapshot. Thread-safe.
-  double Estimate() const;
-
-  /// Merged threshold theta from one snapshot. Thread-safe.
-  double Threshold() const;
-
-  /// Retained distinct priorities in the merged snapshot. Thread-safe.
-  size_t MergedSize() const;
-
-  /// The epoch-consistent merged sketch; immutable, shareable across
-  /// readers. Thread-safe.
-  std::shared_ptr<const KmvSketch> Snapshot() const;
-
-  /// Retained priorities across shards (>= MergedSize; per-shard
-  /// instants). Thread-safe.
-  size_t TotalRetained() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests); see ConcurrentPrioritySampler.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-
- private:
-  ConcurrentSampler<internal::KmvScenario> core_;
-};
-
-/// Internally thread-safe sliding-window front-end: the concurrent
-/// counterpart of ShardedWindowSampler (identical shard layout, seeds,
-/// and merge). Arrival times must be non-decreasing PER SHARD. That
-/// leaves two safe ingest patterns: a SINGLE thread driving the routed
-/// Arrive/AddBatch, or several writers owning DISJOINT shards via
-/// AddShardBatch (each feeding its shards in time order). Writers whose
-/// streams share shards each keep their own sequential
-/// SlidingWindowSampler and combine them with MergeMany. Queries evaluate one epoch-consistent snapshot at
-/// `now` on a private O(k) copy (window queries advance expiry, so the
-/// shared snapshot itself is never mutated); `now` should be >= the
-/// times already ingested, as with the sequential sampler.
-class ConcurrentWindowSampler {
- public:
-  using Arrival = internal::WindowScenario::Arrival;
-
-  ConcurrentWindowSampler(size_t num_shards, size_t k, double window,
-                          uint64_t seed = 1);
-
-  /// Shard index for an item id. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t id) const;
-
-  /// Ingests one arrival under its shard's lock. Thread-safe; returns
-  /// true iff the item was stored.
-  bool Arrive(double time, uint64_t id);
-
-  /// Routed batched ingest (order-preserving per shard). Thread-safe.
-  size_t AddBatch(std::span<const Arrival> arrivals);
-
-  /// Pre-partitioned single-shard ingest. Thread-safe.
-  size_t AddShardBatch(size_t shard, std::span<const Arrival> arrivals);
-
-  /// Improved final threshold of the merged windowed sample at `now`.
-  /// Thread-safe.
-  double ImprovedThreshold(double now) const;
-
-  /// G&L final threshold of the merged windowed sample at `now`.
-  /// Thread-safe.
-  double GlThreshold(double now) const;
-
-  /// Merged samples under each final threshold at `now`. Thread-safe.
-  std::vector<SampleEntry> ImprovedSample(double now) const;
-  std::vector<SampleEntry> GlSample(double now) const;
-
-  /// Stored items (current + expired) in the merged snapshot at `now`.
-  /// Thread-safe.
-  size_t MergedStoredCount(double now) const;
-
-  /// The epoch-consistent merged window sampler. Immutable: query it by
-  /// copying (queries advance expiry). Thread-safe.
-  std::shared_ptr<const SlidingWindowSampler> Snapshot() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests); see ConcurrentPrioritySampler.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-  double window() const { return core_.config().window; }
-
- private:
-  ConcurrentSampler<internal::WindowScenario> core_;
-};
-
-/// Internally thread-safe time-decay front-end: the concurrent
-/// counterpart of ShardedDecaySampler (identical shard layout, seeds,
-/// and merge). Per shard, item times must be non-decreasing -- the same
-/// ingest-pattern contract as ConcurrentWindowSampler, with the same
-/// two recipes (disjoint shard ownership via AddShardBatch, or one
-/// sequential TimeDecaySampler per writer merged with MergeMany).
-class ConcurrentDecaySampler {
- public:
-  using TimedItem = TimeDecaySampler::TimedItem;
-
-  ConcurrentDecaySampler(size_t num_shards, size_t k, uint64_t seed = 1);
-
-  /// Shard index for a key. Thread-safe, never blocks.
-  size_t ShardOf(uint64_t key) const;
-
-  /// Ingests one item under its shard's lock. Thread-safe; returns true
-  /// iff the item was accepted below the shard's acceptance bound.
-  bool Add(uint64_t key, double weight, double value, double time);
-
-  /// Routed batched ingest (order-preserving per shard). Thread-safe.
-  size_t AddBatch(std::span<const TimedItem> items);
-
-  /// Pre-partitioned single-shard ingest. Thread-safe.
-  size_t AddShardBatch(size_t shard, std::span<const TimedItem> items);
-
-  /// Merged adaptive threshold on the log-key scale, from one snapshot.
-  /// Thread-safe.
-  double LogKeyThreshold() const;
-
-  /// Merged decayed sample at `now` (>= every ingested time), from one
-  /// snapshot. Thread-safe.
-  std::vector<TimeDecaySampler::DecayedEntry> SampleAt(double now) const;
-
-  /// HT estimate of the decayed total at `now`, from one snapshot.
-  /// Thread-safe.
-  double EstimateDecayedTotal(double now) const;
-
-  /// The epoch-consistent merged decay sampler; immutable and pure-read
-  /// queryable across threads. Thread-safe.
-  std::shared_ptr<const TimeDecaySampler> Snapshot() const;
-
-  /// Items retained across shards (per-shard instants). Thread-safe.
-  size_t TotalRetained() const;
-
-  /// Live heap bytes across shards plus the published snapshot, per
-  /// util/memory.h. Thread-safe (sum of per-shard instants, like
-  /// TotalRetained).
-  size_t MemoryFootprint() const { return core_.MemoryFootprint(); }
-
-  /// Probes (tests); see ConcurrentPrioritySampler.
-  uint64_t LockAcquisitionsForTest() const {
-    return core_.LockAcquisitionsForTest();
-  }
-  bool SnapshotPublicationIsLockFree() const {
-    return core_.SnapshotPublicationIsLockFree();
-  }
-
-  size_t num_shards() const { return core_.num_shards(); }
-  size_t k() const { return core_.config().k; }
-
- private:
-  ConcurrentSampler<internal::DecayScenario> core_;
-};
+/// Weighted bottom-k (priority sampling): (num_shards, k,
+/// coordinated = true, seed = 1).
+using ConcurrentPrioritySampler =
+    ConcurrentSampler<internal::PriorityScenario>;
+/// KMV distinct counting (and, through KMV's theta duality, Theta-style
+/// distinct unions): (num_shards, k, hash_salt = 0).
+using ConcurrentKmvSketch = ConcurrentSampler<internal::KmvScenario>;
+/// Sliding window: (num_shards, k, window, seed = 1).
+using ConcurrentWindowSampler = ConcurrentSampler<internal::WindowScenario>;
+/// Time decay: (num_shards, k, seed = 1).
+using ConcurrentDecaySampler = ConcurrentSampler<internal::DecayScenario>;
 
 }  // namespace ats
 

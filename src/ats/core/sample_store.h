@@ -267,8 +267,8 @@ class SampleStore {
   /// Monotone counter bumped by every mutating call that may change the
   /// OBSERVABLE state (accepted offers, threshold lowering, merges,
   /// purges). Canonicalization never bumps it: it changes only the
-  /// representation. Query-side caches (ShardedSampler) snapshot this to
-  /// skip re-merging clean shards between ingest batches.
+  /// representation. The sharded front-end (concurrent_sampler.h)
+  /// publishes it to skip re-merging clean shards between ingest batches.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
 
   /// The adaptive threshold: min(initial threshold, (k+1)-th smallest

@@ -1,10 +1,8 @@
-// Shared shard-routing constants for the sharded and concurrent
-// front-ends. The sequential front-ends (ShardedSampler,
-// ShardedWindowSampler, ShardedDecaySampler) and their concurrent
-// counterparts (concurrent_sampler.h) must route keys identically and
-// derive per-shard seeds identically: that is what makes a concurrent
-// front-end bit-equivalent to its sequential sibling over the same
-// stream, which the differential tests rely on.
+// Shard-routing constants of the sharded front-end
+// (concurrent_sampler.h). A hand-routed reference that routes and seeds
+// its shards with these same constants (samplers/sharded_time_axis.h,
+// and the tests' per-shard samplers) is bit-equivalent to the front-end
+// over the same stream, which the differential tests rely on.
 #ifndef ATS_CORE_SHARD_ROUTING_H_
 #define ATS_CORE_SHARD_ROUTING_H_
 

@@ -177,8 +177,9 @@ class SlidingWindowSampler {
   double last_time() const { return last_time_; }
 
   /// Monotone counter covering every observable mutation (accepted
-  /// arrivals, evictions, expiry movement, merges). Query-side caches
-  /// (ShardedWindowSampler) snapshot it to skip re-merging clean shards.
+  /// arrivals, evictions, expiry movement, merges). The sharded
+  /// front-end (concurrent_sampler.h) publishes it to skip re-merging
+  /// clean shards.
   uint64_t mutation_epoch() const { return epoch_; }
 
   /// Merges a sampler over a disjoint key partition of the same timeline

@@ -124,8 +124,9 @@ class TimeDecaySampler {
   size_t MemoryFootprint() const { return sketch_.MemoryFootprint(); }
   size_t k() const { return sketch_.k(); }
 
-  /// Observable-mutation counter of the backing store; query-side caches
-  /// (ShardedDecaySampler) snapshot it to skip re-merging clean shards.
+  /// Observable-mutation counter of the backing store; the sharded
+  /// front-end (concurrent_sampler.h) publishes it to skip re-merging
+  /// clean shards.
   uint64_t mutation_epoch() const {
     return sketch_.store().mutation_epoch();
   }

@@ -7,10 +7,11 @@
 // ingestion of the concatenated stream -- EXACTLY, not statistically.
 // The deterministic tests here drive K writer threads with fixed
 // per-thread streams (and barrier schedules for mid-stream snapshots)
-// and compare bit-for-bit against the single-store / sequential-sharded
-// references. The reader/writer tests are the ThreadSanitizer probes:
-// they exercise every lock and atomic in the epoch protocol while
-// asserting snapshot invariants (the CI TSan leg runs this binary).
+// and compare bit-for-bit against the single-store references and the
+// hand-routed sequential shard references. The reader/writer tests are
+// the ThreadSanitizer probes: they exercise every lock and atomic in the
+// epoch protocol while asserting snapshot invariants (the CI TSan leg
+// runs this binary).
 #include "ats/core/concurrent_sampler.h"
 
 #include <algorithm>
@@ -28,7 +29,7 @@
 
 #include "ats/core/ht_estimator.h"
 #include "ats/core/random.h"
-#include "ats/core/sharded_sampler.h"
+#include "ats/core/shard_routing.h"
 #include "ats/samplers/sharded_time_axis.h"
 #include "ats/sketch/kmv.h"
 
@@ -77,32 +78,31 @@ TEST(ConcurrentPrioritySampler,
   PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
   for (const auto& item : stream) single.Add(item.key, item.weight);
 
-  ShardedSampler sharded(8, k);
-  sharded.AddBatch(stream);
+  for (size_t num_shards : {1u, 2u, 4u, 7u, 8u}) {
+    for (size_t writers : {1u, 2u, 4u, 8u}) {
+      ConcurrentPrioritySampler conc(num_shards, k);
+      const auto slices = SliceStream(stream, writers);
+      std::vector<std::thread> threads;
+      threads.reserve(writers);
+      for (size_t w = 0; w < writers; ++w) {
+        threads.emplace_back(
+            [&conc, &slices, w] { conc.AddBatch(slices[w]); });
+      }
+      for (auto& t : threads) t.join();
 
-  for (size_t writers : {1u, 2u, 4u, 8u}) {
-    ConcurrentPrioritySampler conc(/*num_shards=*/8, k);
-    const auto slices = SliceStream(stream, writers);
-    std::vector<std::thread> threads;
-    threads.reserve(writers);
-    for (size_t w = 0; w < writers; ++w) {
-      threads.emplace_back([&conc, &slices, w] { conc.AddBatch(slices[w]); });
+      // Exact equality with the single store: whatever interleaving the
+      // scheduler produced, the priority multiset is the same, and with
+      // coordinated priorities that determines every observable -- the
+      // estimates agree to the bit.
+      const auto merged = conc.Merged();
+      EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold())
+          << "S=" << num_shards << " writers=" << writers;
+      EXPECT_DOUBLE_EQ(conc.MergedThreshold(), merged.threshold);
+      EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
+          << "S=" << num_shards << " writers=" << writers;
+      EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
+          << "S=" << num_shards << " writers=" << writers;
     }
-    for (auto& t : threads) t.join();
-
-    // Exact equality with the single store: whatever interleaving the
-    // scheduler produced, the priority multiset is the same, and with
-    // coordinated priorities that determines every observable.
-    const auto merged = conc.Merged();
-    EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold())
-        << "writers=" << writers;
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
-        << "writers=" << writers;
-    EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
-        << "writers=" << writers;
-    // And with the sequential sharded front-end (identical shard layout).
-    EXPECT_DOUBLE_EQ(conc.MergedThreshold(), sharded.MergedThreshold())
-        << "writers=" << writers;
   }
 }
 
@@ -181,7 +181,7 @@ TEST(ConcurrentPrioritySampler, SnapshotIsCachedUntilAnAcceptedOffer) {
   EXPECT_EQ(first.get(), conc.Snapshot().get());
 
   // An accepted offer invalidates it.
-  conc.Add(200001, 1e9);
+  conc.Add({200001, 1e9});
   EXPECT_NE(first.get(), conc.Snapshot().get());
   // The old snapshot is still alive and internally consistent for the
   // holder (readers keep what they took).
@@ -220,7 +220,7 @@ TEST(ConcurrentKmvSketch, ConcurrentIngestMatchesSingleSketchExactly) {
       }
     });
     for (size_t w = 0; w < writers; ++w) {
-      threads.emplace_back([&conc, &slices, w] { conc.AddKeys(slices[w]); });
+      threads.emplace_back([&conc, &slices, w] { conc.AddBatch(slices[w]); });
     }
     for (auto& t : threads) t.join();
     done.store(true, std::memory_order_relaxed);
@@ -257,8 +257,9 @@ TEST(ConcurrentWindowSampler, ConcurrentIngestMatchesShardedReference) {
   const uint64_t seed = 5;
   const size_t n = 20000;
 
-  // Sequential reference: the existing sharded front-end over the same
-  // stream in global time order (identical shard seeds, routing, merge).
+  // Sequential reference: hand-routed shards over the same stream in
+  // global time order (identical shard seeds and routing, merged afresh
+  // by MergeMany on every query).
   ShardedWindowSampler ref(S, k, window, seed);
   ConcurrentWindowSampler conc(S, k, window, seed);
   const auto by_shard = ArrivalsByShard(conc, S, n);
@@ -298,6 +299,36 @@ TEST(ConcurrentWindowSampler, ConcurrentIngestMatchesShardedReference) {
 
 // --- Deterministic concurrent equivalence: time decay ------------------
 
+// Hand-routed decay reference: shard s holds the keys whose salted hash
+// maps to s, in a TimeDecaySampler seeded seed + s * kShardSeedStride;
+// queries merge the shards with MergeMany into a (k, seed 1) sampler.
+struct DecayReference {
+  DecayReference(size_t num_shards, size_t k, uint64_t seed) : k(k) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      shards.emplace_back(k, seed + internal::kShardSeedStride * s);
+    }
+  }
+  void Add(const TimeDecaySampler::TimedItem& it) {
+    const uint64_t h = HashKey(it.key, internal::kTimeAxisRouteSalt);
+    shards[h % shards.size()].Add(it.key, it.weight, it.value, it.time);
+  }
+  TimeDecaySampler Merged() const {
+    TimeDecaySampler merged(k, /*seed=*/1);
+    std::vector<const TimeDecaySampler*> inputs;
+    for (const TimeDecaySampler& shard : shards) inputs.push_back(&shard);
+    merged.MergeMany(inputs);
+    return merged;
+  }
+  size_t Retained() const {
+    size_t total = 0;
+    for (const TimeDecaySampler& shard : shards) total += shard.size();
+    return total;
+  }
+
+  size_t k;
+  std::vector<TimeDecaySampler> shards;
+};
+
 TEST(ConcurrentDecaySampler, ConcurrentIngestMatchesShardedReference) {
   const size_t S = 8;
   const size_t k = 64;
@@ -313,8 +344,8 @@ TEST(ConcurrentDecaySampler, ConcurrentIngestMatchesShardedReference) {
     stream[i].time = 5.0 * static_cast<double>(i) / double(n);
   }
 
-  ShardedDecaySampler ref(S, k, seed);
-  ref.AddBatch(stream);
+  DecayReference ref(S, k, seed);
+  for (const auto& item : stream) ref.Add(item);
 
   ConcurrentDecaySampler conc(S, k, seed);
   std::vector<std::vector<TimeDecaySampler::TimedItem>> by_shard(S);
@@ -333,12 +364,13 @@ TEST(ConcurrentDecaySampler, ConcurrentIngestMatchesShardedReference) {
   for (auto& t : threads) t.join();
 
   const double now = 5.0;
-  EXPECT_DOUBLE_EQ(conc.LogKeyThreshold(), ref.LogKeyThreshold());
+  const TimeDecaySampler merged = ref.Merged();
+  EXPECT_DOUBLE_EQ(conc.LogKeyThreshold(), merged.LogKeyThreshold());
   EXPECT_DOUBLE_EQ(conc.EstimateDecayedTotal(now),
-                   ref.EstimateDecayedTotal(now));
-  EXPECT_EQ(conc.TotalRetained(), ref.TotalRetained());
+                   merged.EstimateDecayedTotal(now));
+  EXPECT_EQ(conc.TotalRetained(), ref.Retained());
   const auto conc_sample = conc.SampleAt(now);
-  const auto ref_sample = ref.SampleAt(now);
+  const auto ref_sample = merged.SampleAt(now);
   ASSERT_EQ(conc_sample.size(), ref_sample.size());
   auto key_of = [](const TimeDecaySampler::DecayedEntry& e) { return e.key; };
   std::vector<uint64_t> conc_keys, ref_keys;
@@ -415,7 +447,7 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
   std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
       const auto wsample = window.ImprovedSample(final_now);
-      ASSERT_LE(wsample.size(), window.k());
+      ASSERT_LE(wsample.size(), window.config().k);
       const double total = decay.EstimateDecayedTotal(final_now);
       ASSERT_GE(total, 0.0);
       ASSERT_TRUE(std::isfinite(total));
@@ -436,16 +468,16 @@ TEST(ConcurrentTimeAxis, ReadersRaceWritersOnWindowAndDecay) {
 
   // Quiesced results still match the sequential references.
   ShardedWindowSampler wref(S, 50, 1.0, 3);
-  ShardedDecaySampler dref(S, 50, 3);
+  DecayReference dref(S, 50, 3);
   for (size_t i = 0; i < n; ++i) {
     const double time = 3.0 * static_cast<double>(i) / double(n);
     wref.Arrive(time, i);
-    dref.Add(i, 1.0, 1.0, time);
+    dref.Add({i, 1.0, 1.0, time});
   }
   EXPECT_DOUBLE_EQ(window.ImprovedThreshold(final_now),
                    wref.ImprovedThreshold(final_now));
   EXPECT_DOUBLE_EQ(decay.EstimateDecayedTotal(final_now),
-                   dref.EstimateDecayedTotal(final_now));
+                   dref.Merged().EstimateDecayedTotal(final_now));
 }
 
 // --- The lock-free clean-read probe ------------------------------------
@@ -472,7 +504,7 @@ TEST(ConcurrentPrioritySampler, CleanSnapshotAcquiresNoLockAndIsLockFree) {
 
   // A locked write that changes a shard publishes its epoch, and the
   // clean-read validation must see it: the next snapshot is a rebuild.
-  conc.Add(999999, 1e9);
+  conc.Add({999999, 1e9});
   EXPECT_NE(conc.Snapshot().get(), first.get());
 }
 

@@ -13,7 +13,6 @@
 #include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
 #include "ats/core/sample_store.h"
-#include "ats/core/sharded_sampler.h"
 #include "ats/samplers/budget_sampler.h"
 #include "ats/samplers/multi_objective.h"
 #include "ats/samplers/multi_stratified.h"
@@ -184,10 +183,10 @@ TEST(MemoryFootprint, SlidingWindowStaysWithinFourKEntriesUnderASpike) {
 TEST(MemoryFootprint, FrontEndsSumTheirShards) {
   Xoshiro256 rng(43);
 
-  ShardedSampler sharded(4, 16);
+  ConcurrentPrioritySampler sharded(4, 16);
   const size_t sharded_empty = sharded.MemoryFootprint();
   for (int i = 0; i < 400; ++i) {
-    sharded.Add(rng.Next(), rng.NextDoubleOpenZero());
+    sharded.Add({rng.Next(), rng.NextDoubleOpenZero()});
   }
   EXPECT_GT(sharded.MemoryFootprint(), sharded_empty);
 
@@ -195,7 +194,7 @@ TEST(MemoryFootprint, FrontEndsSumTheirShards) {
   const size_t concurrent_empty = concurrent.MemoryFootprint();
   std::vector<uint64_t> keys(400);
   for (auto& k : keys) k = rng.Next();
-  concurrent.AddKeys(keys);
+  concurrent.AddBatch(keys);
   EXPECT_GT(concurrent.MemoryFootprint(), concurrent_empty);
 }
 

@@ -1,8 +1,8 @@
 // Differential tests for the threshold-pruned k-way merge engine: the
 // one-shot aggregation paths (SampleStore::MergeMany, BottomK::
 // MergeMany/MergeManyFrames, KmvSketch::MergeMany/MergeManyFrames,
-// ThetaSketch::UnionMany, GroupDistinctSketch::MergeMany, the
-// ShardedSampler query cache) must be observationally identical to the
+// ThetaSketch::UnionMany, GroupDistinctSketch::MergeMany, the sharded
+// front-end's snapshot cache) must be observationally identical to the
 // sequential pairwise-Merge reference -- retained multiset, threshold,
 // ties, and warm-up exactly equal -- including k = 1, duplicate
 // priorities, and empty/degenerate shards.
@@ -17,9 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "ats/core/bottom_k.h"
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
 #include "ats/core/sample_store.h"
-#include "ats/core/sharded_sampler.h"
 #include "ats/sketch/group_distinct.h"
 #include "ats/sketch/kmv.h"
 #include "ats/sketch/theta.h"
@@ -383,9 +383,9 @@ TEST(MergeMany, ShardedQueriesAreCachedBetweenIngestBatches) {
   // equal to a single coordinated store fed the same stream.
   Xoshiro256 rng(17);
   const size_t k = 64;
-  ShardedSampler sharded(8, k, /*coordinated=*/true);
+  ConcurrentPrioritySampler sharded(8, k, /*coordinated=*/true);
   PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  std::vector<ShardedSampler::Item> batch;
+  std::vector<ConcurrentPrioritySampler::Item> batch;
   uint64_t key = 0;
   for (int round = 0; round < 6; ++round) {
     batch.clear();
@@ -396,8 +396,10 @@ TEST(MergeMany, ShardedQueriesAreCachedBetweenIngestBatches) {
     sharded.AddBatch(batch);
     for (const auto& item : batch) single.Add(item.key, item.weight);
 
+    const auto snapshot = sharded.Snapshot();
     const auto merged1 = sharded.Merged();
     const auto merged2 = sharded.Merged();  // served from the cache
+    ASSERT_EQ(sharded.Snapshot().get(), snapshot.get());
     ASSERT_DOUBLE_EQ(merged1.threshold, merged2.threshold);
     ASSERT_EQ(merged1.entries.size(), merged2.entries.size());
 
@@ -414,15 +416,17 @@ TEST(MergeMany, ShardedQueriesAreCachedBetweenIngestBatches) {
 }
 
 TEST(MergeMany, ShardedCacheInvalidatesOnScalarAdd) {
-  ShardedSampler sharded(4, 8, /*coordinated=*/true);
-  for (uint64_t i = 0; i < 200; ++i) sharded.Add(i, 1.0);
+  ConcurrentPrioritySampler sharded(4, 8, /*coordinated=*/true);
+  for (uint64_t i = 0; i < 200; ++i) sharded.Add({i, 1.0});
   const double t1 = sharded.MergedThreshold();
   PrioritySampler single(8, 1, /*coordinated=*/true);
   for (uint64_t i = 0; i < 200; ++i) single.Add(i, 1.0);
   ASSERT_DOUBLE_EQ(t1, single.Threshold());
   // One more item must be visible through the cache.
-  sharded.Add(777777, 123.0);
+  const auto before = sharded.Snapshot();
+  sharded.Add({777777, 123.0});
   single.Add(777777, 123.0);
+  ASSERT_NE(sharded.Snapshot().get(), before.get());
   ASSERT_DOUBLE_EQ(sharded.MergedThreshold(), single.Threshold());
   ASSERT_EQ(sharded.Sample().size(), single.Sample().size());
 }

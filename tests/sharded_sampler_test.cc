@@ -1,10 +1,11 @@
-// Tests for ats/core/sharded_sampler.h: the hash-partitioned parallel
-// ingestion front-end. The load-bearing property (Section 2.5): with
-// coordinated priorities, the sharded-then-merged sample and threshold
-// are EXACTLY those of single-store ingestion, so estimates agree to the
-// last bit; with independent priorities the estimates stay unbiased.
-#include "ats/core/sharded_sampler.h"
-
+// Sharding properties of the priority-sampling front-end
+// (ConcurrentPrioritySampler, core/concurrent_sampler.h), checked against
+// hand-routed per-shard PrioritySamplers and single stores. The
+// load-bearing property (Section 2.5) -- with coordinated priorities the
+// sharded-then-merged sample equals single-store ingestion to the last
+// bit -- is CoordinatedConcurrentIngestMatchesSingleStoreExactly in
+// concurrent_sampler_test.cc; with independent priorities the estimates
+// stay unbiased.
 #include <algorithm>
 #include <cmath>
 #include <set>
@@ -13,17 +14,21 @@
 
 #include <gtest/gtest.h>
 
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/ht_estimator.h"
 #include "ats/core/random.h"
+#include "ats/core/shard_routing.h"
 #include "ats/util/stats.h"
 #include "ats/workload/synthetic.h"
 
 namespace ats {
 namespace {
 
-std::vector<ShardedSampler::Item> MakeStream(size_t n, uint64_t seed) {
+using Item = ConcurrentPrioritySampler::Item;
+
+std::vector<Item> MakeStream(size_t n, uint64_t seed) {
   Xoshiro256 rng(seed);
-  std::vector<ShardedSampler::Item> out(n);
+  std::vector<Item> out(n);
   uint64_t key = 0;
   for (auto& item : out) {
     item.key = key++;
@@ -41,67 +46,63 @@ std::vector<std::pair<double, uint64_t>> SortedSample(
   return out;
 }
 
-TEST(ShardedSampler, CoordinatedShardingMatchesSingleStoreExactly) {
-  const size_t k = 100;
-  const auto stream = MakeStream(20000, 11);
-
-  PrioritySampler single(k, /*seed=*/1, /*coordinated=*/true);
-  for (const auto& item : stream) single.Add(item.key, item.weight);
-
-  for (size_t num_shards : {1u, 2u, 4u, 7u}) {
-    ShardedSampler sharded(num_shards, k);
-    sharded.AddBatch(stream);
-
-    const auto merged = sharded.Merged();
-    EXPECT_DOUBLE_EQ(merged.threshold, single.Threshold())
-        << "S=" << num_shards;
-    EXPECT_DOUBLE_EQ(sharded.MergedThreshold(), merged.threshold);
-    EXPECT_EQ(SortedSample(merged.entries), SortedSample(single.Sample()))
-        << "S=" << num_shards;
-    // Same estimates, to the bit.
-    EXPECT_DOUBLE_EQ(HtTotal(merged.entries), HtTotal(single.Sample()))
-        << "S=" << num_shards;
-  }
-}
-
-TEST(ShardedSampler, ScalarAndBatchedIngestAgree) {
+TEST(ShardedIngest, ScalarAndBatchedIngestAgree) {
   const auto stream = MakeStream(5000, 13);
-  ShardedSampler scalar(4, 64), batched(4, 64);
-  for (const auto& item : stream) scalar.Add(item.key, item.weight);
+  ConcurrentPrioritySampler scalar(4, 64), batched(4, 64);
+  for (const auto& item : stream) scalar.Add(item);
   batched.AddBatch(stream);
   EXPECT_DOUBLE_EQ(batched.MergedThreshold(), scalar.MergedThreshold());
   EXPECT_EQ(SortedSample(batched.Sample()), SortedSample(scalar.Sample()));
 }
 
-TEST(ShardedSampler, ShardsPartitionTheKeySpace) {
-  ShardedSampler sharded(8, 32);
+TEST(ShardedIngest, ShardsPartitionTheKeySpace) {
+  // Hand-routed reference: shard s holds the keys whose salted hash maps
+  // to s, in a PrioritySampler seeded seed + s * kShardSeedStride.
+  const size_t num_shards = 8, k = 32;
+  const uint64_t seed = 1;
+  ConcurrentPrioritySampler conc(num_shards, k);
+  std::vector<PrioritySampler> shards;
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards.emplace_back(k, seed + internal::kShardSeedStride * s,
+                        /*coordinated=*/true);
+  }
   const auto stream = MakeStream(4000, 17);
-  sharded.AddBatch(stream);
-  // Each retained key lives in exactly the shard its hash routes to.
+  conc.AddBatch(stream);
+  for (const Item& item : stream) {
+    const size_t s = static_cast<size_t>(
+        HashKey(item.key, internal::kShardRouteSalt) % num_shards);
+    ASSERT_EQ(conc.ShardOf(item.key), s);
+    shards[s].Add(item.key, item.weight);
+  }
+  // Each retained key lives in exactly one shard, and the front-end
+  // retains exactly what the hand-routed shards do.
   std::set<uint64_t> seen;
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    for (const auto& e : sharded.shard(s).Sample()) {
-      EXPECT_EQ(sharded.ShardOf(e.key), s);
+  size_t retained = 0;
+  for (const PrioritySampler& shard : shards) {
+    retained += shard.size();
+    for (const auto& e : shard.Sample()) {
       EXPECT_TRUE(seen.insert(e.key).second) << "key in two shards";
     }
   }
-  EXPECT_EQ(sharded.TotalRetained(), seen.size());
+  EXPECT_EQ(conc.TotalRetained(), retained);
+  EXPECT_EQ(seen.size(), retained);
+  for (const auto& e : conc.Sample()) EXPECT_EQ(seen.count(e.key), 1u);
 }
 
-TEST(ShardedSampler, MergedSampleSizeIsK) {
+TEST(ShardedIngest, MergedSampleSizeIsK) {
   const size_t k = 50;
-  ShardedSampler sharded(4, k);
+  ConcurrentPrioritySampler conc(4, k);
   const auto stream = MakeStream(10000, 19);
-  sharded.AddBatch(stream);
-  EXPECT_EQ(sharded.Sample().size(), k);
+  conc.AddBatch(stream);
+  EXPECT_EQ(conc.Sample().size(), k);
   // Per-shard stores hold up to k each; the merge re-caps at k.
-  EXPECT_GE(sharded.TotalRetained(), k);
+  EXPECT_GE(conc.TotalRetained(), k);
 }
 
-TEST(ShardedSampler, IndependentModeHtTotalIsUnbiased) {
+TEST(ShardedIngest, IndependentModeHtTotalIsUnbiased) {
   const auto population = MakeWeightedPopulation(600, 23, true);
   double truth = 0.0;
-  std::vector<ShardedSampler::Item> stream;
+  std::vector<Item> stream;
   for (const auto& it : population) {
     truth += it.weight;
     stream.push_back({it.key, it.weight});
@@ -110,24 +111,25 @@ TEST(ShardedSampler, IndependentModeHtTotalIsUnbiased) {
   RunningStat estimates;
   const int trials = 300;
   for (int t = 0; t < trials; ++t) {
-    ShardedSampler sharded(4, 40, /*coordinated=*/false,
-                           /*seed=*/1000 + static_cast<uint64_t>(t));
-    sharded.AddBatch(stream);
-    estimates.Add(HtTotal(sharded.Sample()));
+    ConcurrentPrioritySampler conc(4, 40, /*coordinated=*/false,
+                                   /*seed=*/1000 + static_cast<uint64_t>(t));
+    conc.AddBatch(stream);
+    estimates.Add(HtTotal(conc.Sample()));
   }
   const double se = estimates.StdDev() / std::sqrt(double(trials));
   EXPECT_NEAR(estimates.mean(), truth, 4.0 * se + 1e-9);
 }
 
-TEST(ShardedSampler, ParallelShardIngestMatchesSequential) {
+TEST(ShardedIngest, ParallelShardIngestMatchesSequential) {
   // Pre-partition the stream and feed each shard from its own thread via
   // AddShardBatch; the result must equal sequential AddBatch ingestion.
   const auto stream = MakeStream(8000, 27);
   const size_t num_shards = 4;
-  ShardedSampler sequential(num_shards, 64), parallel(num_shards, 64);
+  ConcurrentPrioritySampler sequential(num_shards, 64),
+      parallel(num_shards, 64);
   sequential.AddBatch(stream);
 
-  std::vector<std::vector<ShardedSampler::Item>> parts(num_shards);
+  std::vector<std::vector<Item>> parts(num_shards);
   for (const auto& item : stream) {
     parts[parallel.ShardOf(item.key)].push_back(item);
   }

@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ats/core/concurrent_sampler.h"
 #include "ats/core/random.h"
+#include "ats/core/shard_routing.h"
 #include "ats/samplers/sharded_time_axis.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
@@ -1038,44 +1040,61 @@ TEST(DecayViewHostile, TruncationFlipsAndJunkFailCleanly) {
 }
 
 // ----------------------------------------------------------------------
-// Sharded front-ends: the epoch-dirty merge cache.
+// The sharded time-axis front-ends against hand-routed shard references,
+// and their epoch-validated snapshot cache.
 
 TEST(ShardedTimeAxis, WindowQueriesMatchManualMergeAndAreCached) {
   const size_t k = 32;
-  ShardedWindowSampler sharded(4, k, 1.0, /*seed=*/3);
+  ConcurrentWindowSampler conc(4, k, 1.0, /*seed=*/3);
+  ShardedWindowSampler ref(4, k, 1.0, /*seed=*/3);
   ArrivalProcess arrivals(RateProfile::Constant(1500.0), 1700.0, 8);
   double now = 0.0;
   for (const Arrival& a : arrivals.Until(3.0)) {
-    sharded.Arrive(a.time, a.id);
+    conc.Add({a.time, a.id});
+    ref.Arrive(a.time, a.id);
     now = a.time;
   }
-  // Manual reference: MergeMany over the shards into a fresh sampler.
-  SlidingWindowSampler manual(k, 1.0, /*seed=*/1);
-  std::vector<const SlidingWindowSampler*> shards;
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    shards.push_back(&sharded.shard(s));
-  }
-  manual.MergeMany(shards);
+  // Manual reference: MergeMany over the hand-routed shards.
+  const auto manual_merge = [&] {
+    SlidingWindowSampler manual(k, 1.0, /*seed=*/1);
+    std::vector<const SlidingWindowSampler*> shards;
+    for (size_t s = 0; s < ref.num_shards(); ++s) {
+      shards.push_back(&ref.shard(s));
+    }
+    manual.MergeMany(shards);
+    return manual;
+  };
+  SlidingWindowSampler manual = manual_merge();
 
-  const double t1 = sharded.ImprovedThreshold(now);
+  const double t1 = conc.ImprovedThreshold(now);
   EXPECT_DOUBLE_EQ(t1, manual.ImprovedThreshold(now));
-  EXPECT_DOUBLE_EQ(sharded.GlThreshold(now), manual.GlThreshold(now));
-  EXPECT_EQ(sharded.ImprovedSample(now).size(),
+  EXPECT_DOUBLE_EQ(conc.GlThreshold(now), manual.GlThreshold(now));
+  EXPECT_EQ(conc.ImprovedSample(now).size(),
             manual.ImprovedSample(now).size());
-  // Cached: repeated queries agree without a rebuild.
-  EXPECT_DOUBLE_EQ(sharded.ImprovedThreshold(now), t1);
-  // New ingest invalidates the cache.
-  sharded.Arrive(now + 0.01, 999999);
-  SlidingWindowSampler manual2(k, 1.0, /*seed=*/1);
-  manual2.MergeMany(shards);
-  EXPECT_DOUBLE_EQ(sharded.ImprovedThreshold(now + 0.01),
+  // Cached: repeated queries read the same snapshot and agree.
+  const auto snapshot = conc.Snapshot();
+  EXPECT_DOUBLE_EQ(conc.ImprovedThreshold(now), t1);
+  EXPECT_EQ(conc.Snapshot().get(), snapshot.get());
+  // New ingest is visible through the cache.
+  conc.Add({now + 0.01, 999999});
+  ref.Arrive(now + 0.01, 999999);
+  SlidingWindowSampler manual2 = manual_merge();
+  EXPECT_DOUBLE_EQ(conc.ImprovedThreshold(now + 0.01),
                    manual2.ImprovedThreshold(now + 0.01));
 }
 
 TEST(ShardedTimeAxis, DecayBatchedIngestAndCachedQueriesStayExact) {
-  const size_t k = 48;
-  ShardedDecaySampler sharded(6, k, /*seed=*/11);
-  ShardedDecaySampler scalar_fed(6, k, /*seed=*/11);
+  // Hand-routed reference: shard s holds the keys whose salted hash maps
+  // to s, in a TimeDecaySampler seeded seed + s * kShardSeedStride, fed
+  // item by item; queries merge the shards into a (k, seed 1) sampler.
+  const size_t num_shards = 6, k = 48;
+  const uint64_t seed = 11;
+  ConcurrentDecaySampler batched(num_shards, k, seed);
+  ConcurrentDecaySampler scalar_fed(num_shards, k, seed);
+  std::vector<TimeDecaySampler> shards;
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards.emplace_back(k, seed + internal::kShardSeedStride * s);
+  }
   Xoshiro256 data(13);
   std::vector<TimeDecaySampler::TimedItem> batch;
   uint64_t key = 0;
@@ -1086,27 +1105,35 @@ TEST(ShardedTimeAxis, DecayBatchedIngestAndCachedQueriesStayExact) {
       batch.push_back({key++, 0.5 + data.NextDouble(), 1.0,
                        0.2 * round + 0.0001 * static_cast<double>(i)});
     }
-    sharded.AddBatch(batch);
+    batched.AddBatch(batch);
     for (const auto& it : batch) {
-      scalar_fed.Add(it.key, it.weight, it.value, it.time);
+      scalar_fed.Add(it);
+      const uint64_t h = HashKey(it.key, internal::kTimeAxisRouteSalt);
+      shards[h % num_shards].Add(it.key, it.weight, it.value, it.time);
     }
     // Batched partitioned ingest is bit-identical to scalar routing.
-    ASSERT_EQ(sharded.TotalRetained(), scalar_fed.TotalRetained());
-    ASSERT_DOUBLE_EQ(sharded.LogKeyThreshold(),
+    ASSERT_EQ(batched.TotalRetained(), scalar_fed.TotalRetained());
+    ASSERT_DOUBLE_EQ(batched.LogKeyThreshold(),
                      scalar_fed.LogKeyThreshold());
-    // The merged cache: identical repeated answers, equal to the manual
-    // MergeMany reference.
+    // Both equal the hand-routed reference, and repeated queries read
+    // one cached snapshot.
     TimeDecaySampler manual(k, /*seed=*/1);
-    std::vector<const TimeDecaySampler*> shards;
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      shards.push_back(&sharded.shard(s));
+    std::vector<const TimeDecaySampler*> inputs;
+    size_t retained = 0;
+    for (const TimeDecaySampler& shard : shards) {
+      inputs.push_back(&shard);
+      retained += shard.size();
     }
-    manual.MergeMany(shards);
+    manual.MergeMany(inputs);
+    ASSERT_EQ(batched.TotalRetained(), retained);
+    ASSERT_DOUBLE_EQ(batched.LogKeyThreshold(), manual.LogKeyThreshold());
     const double now = 0.2 * round + 1.0;
-    ASSERT_DOUBLE_EQ(sharded.EstimateDecayedTotal(now),
+    const auto snapshot = batched.Snapshot();
+    ASSERT_DOUBLE_EQ(batched.EstimateDecayedTotal(now),
                      manual.EstimateDecayedTotal(now));
-    ASSERT_DOUBLE_EQ(sharded.EstimateDecayedTotal(now),
-                     sharded.EstimateDecayedTotal(now));
+    ASSERT_DOUBLE_EQ(batched.EstimateDecayedTotal(now),
+                     batched.EstimateDecayedTotal(now));
+    ASSERT_EQ(batched.Snapshot().get(), snapshot.get());
   }
 }
 
