@@ -234,10 +234,13 @@ ReceiveOutcome AggregatorNode::Receive(std::string_view bytes) {
   if (!merged_.MergeManyFrames(frame)) {
     // The envelope arrived intact, so these bytes are what the sender
     // MEANT to send: no retransmission can fix them. Ack to stop the
-    // retry loop; count with the typed payload reason; never merge.
+    // retry loop; count with the typed payload reason; never merge. A
+    // valid frame this sketch cannot merge (a foreign hash salt) is as
+    // final as a corrupt one: kCorruptBody, never kNone.
     ++rejects_.payload_rejected;
     out.kind = ReceiveOutcome::Kind::kPayloadRejected;
     out.fault = KmvSketch::DiagnoseFrame(view.payload);
+    if (out.fault == FrameFault::kNone) out.fault = FrameFault::kCorruptBody;
     ack();
     return out;
   }

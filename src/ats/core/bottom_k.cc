@@ -1,12 +1,5 @@
 #include "ats/core/bottom_k.h"
 
-#include <array>
-
-namespace {
-constexpr uint32_t kPrioritySamplerMagic = 0x50534d32;  // "PSM2"
-constexpr uint32_t kPrioritySamplerVersion = 2;
-}  // namespace
-
 namespace ats {
 
 PrioritySampler::PrioritySampler(size_t k, uint64_t seed, bool coordinated)
@@ -68,67 +61,37 @@ void PrioritySampler::MergeMany(
 }
 
 void PrioritySampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kPrioritySamplerMagic, kPrioritySamplerVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteU32(coordinated_ ? 1 : 0);
   WriteRngState(w, rng_.State());
   sketch_.SerializeTo(w);  // the nested BottomK frame carries the sample
 }
 
-std::optional<PrioritySampler> PrioritySampler::Deserialize(ByteReader& r) {
-  if (!ReadSketchHeader(r, kPrioritySamplerMagic,
-                        kPrioritySamplerVersion)) {
-    return std::nullopt;
-  }
+std::optional<PrioritySampler::FrameView> PrioritySampler::ReadView(
+    ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto coordinated = r.ReadU32();
   if (!coordinated) return std::nullopt;
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  auto sketch = BottomK<Item>::Deserialize(r);
-  if (!sketch) return std::nullopt;
-  PrioritySampler sampler(sketch->k(), /*seed=*/1, *coordinated != 0);
-  sampler.sketch_ = std::move(*sketch);
-  sampler.rng_.SetState(*rng_state);
-  return sampler;
-}
-
-FrameFault PrioritySampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kPrioritySamplerMagic,
-                                          kPrioritySamplerVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<PrioritySampler::FrameView> PrioritySampler::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kPrioritySamplerMagic,
-                            kPrioritySamplerVersion);
-  if (!r) return std::nullopt;
-  const auto coordinated = r->ReadU32();
-  if (!coordinated) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  // The rest of the body is exactly the embedded bottom-k sample region.
-  auto sample = BottomK<Item>::ViewBody(r->Rest());
+  auto sample = BottomK<Item>::ReadView(r);
   if (!sample) return std::nullopt;
   FrameView view;
   view.coordinated_ = *coordinated != 0;
+  view.rng_state_ = *rng_state;
   view.sample_ = *sample;
   return view;
 }
 
-bool PrioritySampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<BottomK<Item>::FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view) return false;
-    views.push_back(view->sample_);
-  }
-  if (views.empty()) return true;  // strict no-op, like MergeMany({})
-  sketch_.MergeValidatedViews(views);
-  return true;
+PrioritySampler PrioritySampler::FromView(const FrameView& view) {
+  PrioritySampler sampler(BottomK<Item>::FromView(view.sample_),
+                          view.coordinated());
+  sampler.rng_.SetState(view.rng_state_);
+  return sampler;
+}
+
+void PrioritySampler::MergeValidatedViews(std::span<const FrameView> views) {
+  sketch_.MergeValidatedViews(views, &FrameView::sample_);
 }
 
 }  // namespace ats

@@ -15,9 +15,11 @@
 #ifndef ATS_CORE_BOTTOM_K_H_
 #define ATS_CORE_BOTTOM_K_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -65,7 +67,7 @@ struct PayloadCodec<uint64_t> {
 // priority ever offered once k+1 distinct offers have been seen
 // (+infinity before that).
 template <typename Payload>
-class BottomK {
+class BottomK : public FrameCodec<BottomK<Payload>> {
  public:
   struct Entry {
     double priority;
@@ -183,7 +185,7 @@ class BottomK {
     size_t count = 0;
     for (const double p : priorities) count += p < t ? 1 : 0;
     w.Reserve(kPrefixSize + count * kEntryStride + sizeof(uint32_t));
-    WriteSketchHeader(w, kMagic, kVersion);
+    WriteSketchHeader(w, kWireMagic, kWireVersion);
     w.WriteU64(store_.k());
     w.WriteDouble(t);
     w.WriteU64(count);
@@ -196,44 +198,13 @@ class BottomK {
     }
   }
 
-  static std::optional<BottomK> Deserialize(ByteReader& r) {
-    const auto view = ReadView(r);
-    if (!view) return std::nullopt;
-    BottomK sketch(view->k());
-    for (size_t i = 0; i < view->size(); ++i) {
-      sketch.Offer(view->priority(i), view->payload(i));
-    }
-    if (sketch.size() != view->size()) return std::nullopt;
-    sketch.LowerThreshold(view->threshold());
-    return sketch;
-  }
-
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<BottomK> Deserialize(std::string_view bytes) {
-    return DeserializeSketch<BottomK>(bytes);
-  }
-
-  // Typed rejection reason for a frame Deserialize would refuse:
-  // structural cause first (truncated / foreign magic / future version /
-  // checksum), kCorruptBody for field- or entry-level violations, kNone
-  // iff the frame parses. Per-cause rejection counters in the transport
-  // tier are built on this.
-  static FrameFault DiagnoseFrame(std::string_view frame) {
-    const FrameFault f = ClassifyFrameBytes(frame, kMagic, kVersion);
-    if (f != FrameFault::kNone) return f;
-    return Deserialize(frame).has_value() ? FrameFault::kNone
-                                          : FrameFault::kCorruptBody;
-  }
-
-  // Zero-copy read-only view over a whole serialized frame (the
-  // SerializeToString layout, trailing checksum included). Parsing
-  // validates everything Deserialize validates -- checksum, header,
-  // field ranges, every entry -- but materializes nothing: the entry
-  // region stays a bounds-checked span over the caller's bytes, decoded
-  // lazily per access. This is what lets MergeManyFrames aggregate a
-  // large fan-in of wire sketches without ever building the per-frame
-  // vectors a Deserialize+Merge chain would (each frame's bytes are
-  // copied at most once: accepted survivors into the accumulator).
+  // Zero-copy read-only view over one frame body: the entry region stays
+  // a bounds-checked span over the caller's bytes, decoded lazily per
+  // access. This is what lets MergeManyFrames aggregate a large fan-in
+  // of wire sketches without ever building the per-frame vectors a
+  // Deserialize+Merge chain would (each frame's bytes are copied at most
+  // once: accepted survivors into the accumulator). Container frames
+  // (PSM2, TDK1, MOB1) embed it for their sample regions.
   //
   // The view borrows the frame's storage; it must not outlive the bytes.
   class FrameView {
@@ -265,103 +236,14 @@ class BottomK {
     std::string_view entries_;
   };
 
-  // Parses `frame` (a SerializeToString buffer) into a FrameView.
-  // Returns nullopt on exactly the inputs Deserialize rejects: bad
-  // checksum, truncation, foreign magic or future version, k < 1, NaN
-  // threshold, count > k, an entry at/above the threshold, an invalid
-  // payload, or trailing bytes. A frame declaring a huge k is fine as
-  // long as its entry count is consistent -- the view allocates nothing,
-  // so hostile capacity claims cannot reserve memory here (the
-  // kMaxEagerReserve cap protects the Deserialize path the same way).
-  static std::optional<FrameView> DeserializeView(std::string_view frame) {
-    const auto body = CheckedFrameBody(frame);
-    if (!body) return std::nullopt;
-    return ViewBody(*body);
-  }
-
-  // Parses a bare (un-checksummed) BottomK body -- exactly the bytes
-  // SerializeTo appends, which must span the whole of `body` -- into a
-  // FrameView. For container formats that embed the sample region inside
-  // their own checked frame (TimeDecaySampler): the container's
-  // DeserializeView verifies the outer checksum and hands the tail here.
-  // Validation is identical to DeserializeView's.
-  static std::optional<FrameView> ViewBody(std::string_view body) {
-    ByteReader r(body);
-    auto view = ReadView(r);
-    if (!view || !r.AtEnd()) return std::nullopt;  // trailing bytes
-    return view;
-  }
-
-  // Threshold-pruned k-way union straight off the wire: observationally
-  // identical to deserializing every frame and merging the results with
-  // Merge() in span order, but zero-copy (see FrameView) and pruned by
-  // the global min threshold before any entry is decoded into the store.
-  // Returns false -- leaving the sketch observably unchanged -- if ANY
-  // frame fails validation; all frames are vetted before the first one
-  // is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames) {
-    std::vector<FrameView> views;
-    views.reserve(frames.size());
-    for (std::string_view f : frames) {
-      auto view = DeserializeView(f);
-      if (!view) return false;
-      views.push_back(*view);
-    }
-    // No inputs: strict no-op, like a zero-length Deserialize+Merge
-    // chain (the closing purge below would otherwise drop retained
-    // entries tied AT the threshold, which no pairwise merge ran to
-    // justify).
-    if (views.empty()) return true;
-    MergeValidatedViews(views);
-    return true;
-  }
-
-  // The mutation half of MergeManyFrames: applies frame views that have
-  // ALREADY passed DeserializeView/ViewBody validation (global min bound
-  // first, block-prefiltered gather, closing purge). For container
-  // sketches (TimeDecaySampler) that vet their own outer frames before
-  // delegating; the span must be non-empty (the all-frames-invalid /
-  // no-frames cases are the caller's strict no-op).
-  void MergeValidatedViews(std::span<const FrameView> views) {
-    double bound = store_.Threshold();
-    for (const FrameView& v : views) bound = std::min(bound, v.threshold());
-    store_.LowerThreshold(bound);
-    alignas(64) double block[internal::kIngestBlock];
-    for (const FrameView& v : views) {
-      const size_t n = v.size();
-      size_t i = 0;
-      for (; i + internal::kIngestBlock <= n;
-           i += internal::kIngestBlock) {
-        // Gather the block's priorities into a dense column, then reuse
-        // the batched-ingest pre-filter; only survivors decode payloads.
-        for (size_t j = 0; j < internal::kIngestBlock; ++j) {
-          block[j] = v.priority(i + j);
-        }
-        internal::VisitBlockCandidates(
-            block, store_.AcceptBound(),
-            [&](size_t j) { store_.Offer(block[j], v.payload(i + j)); });
-      }
-      for (; i < n; ++i) {
-        const double p = v.priority(i);
-        if (p < store_.AcceptBound()) store_.Offer(p, v.payload(i));
-      }
-    }
-    store_.PurgeAboveThreshold();
-  }
-
- private:
-  static constexpr uint32_t kMagic = 0x42544b32;  // "BTK2"
-  static constexpr uint32_t kVersion = 2;
-  // Header, k, threshold, count.
-  static constexpr size_t kPrefixSize =
-      2 * sizeof(uint32_t) + 3 * sizeof(uint64_t);
-  static constexpr size_t kEntryStride = FrameView::kStride;
-
-  // Reads one body -- fields, then the entry region -- into a view and
-  // validates all of it, consuming exactly the body's bytes. Shared by
-  // the eager and the zero-copy parsers, so both reject the same inputs.
+  // Reads one body -- header, fields, then the entry region -- into a
+  // view and validates all of it: k >= 1, a non-NaN threshold, count <= k,
+  // every entry strictly below the threshold, every payload valid. A
+  // frame declaring a huge k is fine as long as its entry count is
+  // consistent -- the view allocates nothing, so hostile capacity claims
+  // cannot reserve memory here (kMaxEagerReserve caps FromView's store).
   static std::optional<FrameView> ReadView(ByteReader& r) {
-    if (!ReadSketchHeader(r, kMagic, kVersion)) return std::nullopt;
+    if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
     const auto k = r.ReadU64();
     const auto threshold = r.ReadDouble();
     const auto count = r.ReadU64();
@@ -392,6 +274,62 @@ class BottomK {
     r.Skip(view.entries_.size());
     return view;
   }
+
+  static BottomK FromView(const FrameView& view) {
+    BottomK sketch(view.k());
+    for (size_t i = 0; i < view.size(); ++i) {
+      sketch.Offer(view.priority(i), view.payload(i));
+    }
+    // count <= k entries below the threshold: the store keeps them all.
+    ATS_DCHECK(sketch.size() == view.size());
+    sketch.LowerThreshold(view.threshold());
+    return sketch;
+  }
+
+  bool MergeCompatible(const FrameView&) const { return true; }
+
+  // Applies validated views (global min bound first, block-prefiltered
+  // gather, closing purge). Container families pass their own views with
+  // a projection `sample` onto the embedded bottom-k view.
+  template <typename View, typename Sample = std::identity>
+  void MergeValidatedViews(std::span<const View> views, Sample sample = {}) {
+    double bound = store_.Threshold();
+    for (const View& in : views) {
+      bound = std::min(bound, std::invoke(sample, in).threshold());
+    }
+    store_.LowerThreshold(bound);
+    alignas(64) double block[internal::kIngestBlock];
+    for (const View& in : views) {
+      const FrameView& v = std::invoke(sample, in);
+      const size_t n = v.size();
+      size_t i = 0;
+      for (; i + internal::kIngestBlock <= n;
+           i += internal::kIngestBlock) {
+        // Gather the block's priorities into a dense column, then reuse
+        // the batched-ingest pre-filter; only survivors decode payloads.
+        for (size_t j = 0; j < internal::kIngestBlock; ++j) {
+          block[j] = v.priority(i + j);
+        }
+        internal::VisitBlockCandidates(
+            block, store_.AcceptBound(),
+            [&](size_t j) { store_.Offer(block[j], v.payload(i + j)); });
+      }
+      for (; i < n; ++i) {
+        const double p = v.priority(i);
+        if (p < store_.AcceptBound()) store_.Offer(p, v.payload(i));
+      }
+    }
+    store_.PurgeAboveThreshold();
+  }
+
+  static constexpr uint32_t kWireMagic = 0x42544b32;  // "BTK2"
+  static constexpr uint32_t kWireVersion = 2;
+
+ private:
+  // Header, k, threshold, count.
+  static constexpr size_t kPrefixSize =
+      2 * sizeof(uint32_t) + 3 * sizeof(uint64_t);
+  static constexpr size_t kEntryStride = FrameView::kStride;
 
   SampleStore<Payload> store_;
 };
@@ -429,7 +367,7 @@ struct PayloadCodec<WeightedStored> {
 // Each item draws priority R = U/w (coordinated via its key hash when
 // `coordinated` is true, independent otherwise). The sample supports
 // unbiased subset-sum estimation through estimators/subset_sum.h.
-class PrioritySampler {
+class PrioritySampler : public FrameCodec<PrioritySampler> {
  public:
   using Item = WeightedStored;
 
@@ -472,25 +410,14 @@ class PrioritySampler {
   // `this` are skipped.
   void MergeMany(std::span<const PrioritySampler* const> others);
 
-  // Wire format. The RNG state travels with the sample so a restored
-  // independent sampler continues the exact same priority stream.
+  // Wire format (magic "PSM2"): header, coordination flag, the RNG state
+  // (a restored independent sampler continues the exact same priority
+  // stream), then the embedded bottom-k sample region.
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<PrioritySampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<PrioritySampler> Deserialize(std::string_view bytes) {
-    return DeserializeSketch<PrioritySampler>(bytes);
-  }
 
-  // Typed rejection reason for a frame Deserialize would refuse:
-  // structural cause first (kTruncated / kBadMagic / kBadVersion /
-  // checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  // violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  // Zero-copy read-only view over a whole serialized frame: the outer
-  // checksum/header/flag/RNG fields are validated, then the embedded
-  // sample region is exposed through the generic bottom-k frame view.
-  // Borrows the frame's storage; must not outlive it.
+  // Zero-copy read-only view over one frame body, the sample region
+  // exposed through the generic bottom-k frame view. Borrows the frame's
+  // storage; must not outlive it.
   class FrameView {
    public:
     bool coordinated() const { return coordinated_; }
@@ -503,22 +430,26 @@ class PrioritySampler {
    private:
     friend class PrioritySampler;
     bool coordinated_ = false;
+    std::array<uint64_t, 4> rng_state_ = {};
     BottomK<Item>::FrameView sample_;
   };
 
-  // Parses a SerializeToString buffer; nullopt on exactly the inputs
-  // Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  // The frame hooks (util/serialize.h): RNG state and coordination flags
+  // do not participate in a merge, so every valid frame is compatible.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static PrioritySampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView&) const { return true; }
+  void MergeValidatedViews(std::span<const FrameView> views);
 
-  // Threshold-pruned k-way merge straight off the wire: observationally
-  // identical to deserializing every frame and merging with Merge() in
-  // span order (frame RNG state and coordination flags do not
-  // participate in a merge). Returns false -- sampler observably
-  // unchanged -- if ANY frame fails validation; all frames are vetted
-  // before the first is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x50534d32;  // "PSM2"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
+  // Adopts a materialized sample (FromView), so no default-sized store
+  // is allocated only to be replaced.
+  PrioritySampler(BottomK<Item> sketch, bool coordinated)
+      : sketch_(std::move(sketch)), rng_(1), coordinated_(coordinated) {}
+
   BottomK<Item> sketch_;
   Xoshiro256 rng_;
   bool coordinated_;

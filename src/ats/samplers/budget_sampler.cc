@@ -9,9 +9,6 @@ namespace ats {
 
 namespace {
 
-constexpr uint32_t kBudgetMagic = 0x31544742;  // "BGT1"
-constexpr uint32_t kBudgetVersion = 2;
-
 bool PriorityLess(const BudgetSampler::Item& a,
                   const BudgetSampler::Item& b) {
   return a.priority < b.priority;
@@ -150,7 +147,7 @@ void BudgetSampler::Merge(const BudgetSampler& other) {
 }
 
 void BudgetSampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kBudgetMagic, kBudgetVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteDouble(budget_);
   w.WriteDouble(threshold_);
   WriteRngState(w, rng_.State());
@@ -164,10 +161,9 @@ void BudgetSampler::SerializeTo(ByteWriter& w) const {
   }
 }
 
-std::optional<BudgetSampler> BudgetSampler::Deserialize(ByteReader& r) {
-  if (!ReadSketchHeader(r, kBudgetMagic, kBudgetVersion)) {
-    return std::nullopt;
-  }
+std::optional<BudgetSampler::FrameView> BudgetSampler::ReadView(
+    ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto budget = r.ReadDouble();
   if (!budget || !(*budget > 0.0) || !std::isfinite(*budget)) {
     return std::nullopt;
@@ -179,70 +175,14 @@ std::optional<BudgetSampler> BudgetSampler::Deserialize(ByteReader& r) {
   if (!rng_state) return std::nullopt;
   const auto count = r.ReadU64();
   if (!count) return std::nullopt;
-  BudgetSampler sampler(*budget, /*seed=*/1);
-  sampler.rng_.SetState(*rng_state);
-  sampler.threshold_ = *threshold;
-  double previous_priority = 0.0;
-  for (uint64_t i = 0; i < *count; ++i) {
-    const auto key = r.ReadU64();
-    const auto size = r.ReadDouble();
-    const auto value = r.ReadDouble();
-    const auto weight = r.ReadDouble();
-    const auto priority = r.ReadDouble();
-    if (!key.has_value() || !size || !value || !weight || !priority) {
-      return std::nullopt;
-    }
-    if (!ValidWireItem(*budget, *threshold, *size, *value, *weight,
-                       *priority) ||
-        *priority < previous_priority ||
-        sampler.used_ + *size > *budget) {
-      return std::nullopt;
-    }
-    previous_priority = *priority;
-    Item item;
-    item.key = *key;
-    item.size = *size;
-    item.value = *value;
-    item.weight = *weight;
-    item.priority = *priority;
-    // End-hint insert: entries arrive in ascending order, and equal
-    // priorities keep their wire order (byte-stability).
-    sampler.items_.insert(sampler.items_.end(), item);
-    sampler.used_ += *size;
-  }
-  return sampler;
-}
-
-FrameFault BudgetSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kBudgetMagic, kBudgetVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<BudgetSampler::FrameView> BudgetSampler::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kBudgetMagic, kBudgetVersion);
-  if (!r) return std::nullopt;
-  const auto budget = r->ReadDouble();
-  if (!budget || !(*budget > 0.0) || !std::isfinite(*budget)) {
-    return std::nullopt;
-  }
-  const auto threshold = r->ReadDouble();
-  if (!threshold || !(*threshold > 0.0)) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  const auto count = r->ReadU64();
-  if (!count) return std::nullopt;
-  const std::string_view entries = r->Rest();
   // Division-form length check: immune to count * stride overflow.
-  if (entries.size() % FrameView::kStride != 0 ||
-      *count != entries.size() / FrameView::kStride) {
-    return std::nullopt;
-  }
+  const std::string_view rest = r.Rest();
+  if (*count > rest.size() / FrameView::kStride) return std::nullopt;
   FrameView view;
   view.budget_ = *budget;
   view.threshold_ = *threshold;
-  view.entries_ = entries;
+  view.rng_state_ = *rng_state;
+  view.entries_ = rest.substr(0, *count * FrameView::kStride);
   double previous_priority = 0.0;
   double used = 0.0;
   for (size_t i = 0; i < view.size(); ++i) {
@@ -255,21 +195,27 @@ std::optional<BudgetSampler::FrameView> BudgetSampler::DeserializeView(
     previous_priority = view.priority(i);
     used += view.item_size(i);
   }
+  r.Skip(view.entries_.size());
   return view;
 }
 
-bool BudgetSampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->budget() != budget_) return false;
-    views.push_back(*view);
+BudgetSampler BudgetSampler::FromView(const FrameView& view) {
+  BudgetSampler sampler(view.budget(), /*seed=*/1);
+  sampler.rng_.SetState(view.rng_state_);
+  sampler.threshold_ = view.threshold();
+  for (size_t i = 0; i < view.size(); ++i) {
+    // End-hint insert: entries arrive in ascending order, and equal
+    // priorities keep their wire order (byte-stability).
+    sampler.items_.insert(sampler.items_.end(),
+                          Item{view.key(i), view.item_size(i), view.value(i),
+                               view.weight(i), view.priority(i)});
+    sampler.used_ += view.item_size(i);
   }
-  // Apply per frame in span order -- exactly the Merge() rule, so the
-  // result matches deserializing each frame and chaining Merge().
+  return sampler;
+}
+
+void BudgetSampler::MergeValidatedViews(std::span<const FrameView> views) {
+  // Per frame in span order -- exactly the Merge() rule.
   for (const FrameView& v : views) {
     LowerThresholdAndPurge(v.threshold());
     for (size_t i = 0; i < v.size(); ++i) {
@@ -277,7 +223,6 @@ bool BudgetSampler::MergeManyFrames(
              v.priority(i));
     }
   }
-  return true;
 }
 
 }  // namespace ats

@@ -13,6 +13,7 @@
 #ifndef ATS_SAMPLERS_BUDGET_SAMPLER_H_
 #define ATS_SAMPLERS_BUDGET_SAMPLER_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -29,7 +30,7 @@
 
 namespace ats {
 
-class BudgetSampler {
+class BudgetSampler : public FrameCodec<BudgetSampler> {
  public:
   struct Item {
     uint64_t key = 0;
@@ -105,22 +106,10 @@ class BudgetSampler {
   // positive sizes that cumulatively fit the budget.
 
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<BudgetSampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<BudgetSampler> Deserialize(std::string_view bytes) {
-    return DeserializeSketch<BudgetSampler>(bytes);
-  }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  /// Zero-copy read-only view over a whole serialized frame: every
-  /// layer validated (including the per-entry rules above), the
-  /// fixed-stride entry region exposed in place. Borrows the frame's
-  /// storage; must not outlive it.
+  /// Zero-copy read-only view over one frame body: every field and the
+  /// per-entry rules above validated, the fixed-stride entry region
+  /// exposed in place. Borrows the frame's storage; must not outlive it.
   class FrameView {
    public:
     double budget() const { return budget_; }
@@ -145,19 +134,22 @@ class BudgetSampler {
 
     double budget_ = 0.0;
     double threshold_ = kInfiniteThreshold;
+    std::array<uint64_t, 4> rng_state_ = {};
     std::string_view entries_;
   };
 
-  /// Parses a SerializeToString buffer; nullopt on exactly the inputs
-  /// Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  /// The frame hooks (util/serialize.h). ReadView allocates nothing. A
+  /// frame is merge-compatible iff it carries this sampler's budget;
+  /// MergeValidatedViews applies the Merge() rule per frame in order.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static BudgetSampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView& view) const {
+    return view.budget() == budget_;
+  }
+  void MergeValidatedViews(std::span<const FrameView> views);
 
-  /// Merge straight off the wire: observationally identical to
-  /// deserializing every frame and merging with Merge() in span order.
-  /// Every frame must carry this sampler's budget. Returns false --
-  /// sampler observably unchanged -- if ANY frame fails validation; all
-  /// frames are vetted before the first is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x31544742;  // "BGT1"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
   void Shrink();

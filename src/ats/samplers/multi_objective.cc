@@ -4,11 +4,6 @@
 
 #include "ats/util/check.h"
 
-namespace {
-constexpr uint32_t kMultiObjectiveMagic = 0x31424f4d;  // "MOB1"
-constexpr uint32_t kMultiObjectiveVersion = 2;
-}  // namespace
-
 namespace ats {
 
 MultiObjectiveSampler::MultiObjectiveSampler(size_t num_objectives, size_t k,
@@ -76,7 +71,7 @@ void MultiObjectiveSampler::Merge(const MultiObjectiveSampler& other) {
 }
 
 void MultiObjectiveSampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kMultiObjectiveMagic, kMultiObjectiveVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteU64(sketches_.size());
   w.WriteU64(sketches_.front().k());
   WriteRngState(w, rng_.State());
@@ -90,92 +85,57 @@ void MultiObjectiveSampler::SerializeTo(ByteWriter& w) const {
   }
 }
 
-std::optional<MultiObjectiveSampler> MultiObjectiveSampler::Deserialize(
-    ByteReader& r) {
-  if (!ReadSketchHeader(r, kMultiObjectiveMagic, kMultiObjectiveVersion)) {
-    return std::nullopt;
-  }
+std::optional<MultiObjectiveSampler::FrameView>
+MultiObjectiveSampler::ReadView(ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto num_objectives = r.ReadU64();
   const auto k = r.ReadU64();
   if (!num_objectives || !k) return std::nullopt;
   if (*num_objectives < 1 || *k < 1) return std::nullopt;
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  MultiObjectiveSampler sampler(1, static_cast<size_t>(*k), /*seed=*/1);
-  sampler.rng_.SetState(*rng_state);
-  sampler.sketches_.clear();
+  FrameView view;
+  view.k_ = static_cast<size_t>(*k);
+  view.rng_state_ = *rng_state;
+  view.objectives_.reserve(static_cast<size_t>(
+      std::min<uint64_t>(*num_objectives, 1024)));
   for (uint64_t j = 0; j < *num_objectives; ++j) {
+    // Length-prefixed nested body: it must hold exactly one BTK2 body of
+    // the frame's k.
     const auto body_len = r.ReadU64();
     if (!body_len) return std::nullopt;
     const std::string_view rest = r.Rest();
     if (*body_len > rest.size()) return std::nullopt;
     ByteReader nested(rest.substr(0, static_cast<size_t>(*body_len)));
-    auto sketch = BottomK<Stored>::Deserialize(nested);
-    if (!sketch || !nested.AtEnd() || sketch->k() != *k) return std::nullopt;
-    sampler.sketches_.push_back(std::move(*sketch));
+    auto sample = BottomK<Stored>::ReadView(nested);
+    if (!sample || !nested.AtEnd() || sample->k() != *k) return std::nullopt;
+    view.objectives_.push_back(*sample);
     r.Skip(static_cast<size_t>(*body_len));
+  }
+  return view;
+}
+
+MultiObjectiveSampler MultiObjectiveSampler::FromView(const FrameView& view) {
+  MultiObjectiveSampler sampler(1, view.k(), /*seed=*/1);
+  sampler.rng_.SetState(view.rng_state_);
+  sampler.sketches_.clear();
+  sampler.sketches_.reserve(view.num_objectives());
+  for (const BottomK<Stored>::FrameView& sample : view.objectives_) {
+    sampler.sketches_.push_back(BottomK<Stored>::FromView(sample));
   }
   return sampler;
 }
 
-FrameFault MultiObjectiveSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kMultiObjectiveMagic, kMultiObjectiveVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<MultiObjectiveSampler::FrameView>
-MultiObjectiveSampler::DeserializeView(std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kMultiObjectiveMagic,
-                            kMultiObjectiveVersion);
-  if (!r) return std::nullopt;
-  const auto num_objectives = r->ReadU64();
-  const auto k = r->ReadU64();
-  if (!num_objectives || !k) return std::nullopt;
-  if (*num_objectives < 1 || *k < 1) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  FrameView view;
-  view.k_ = static_cast<size_t>(*k);
-  view.objectives_.reserve(static_cast<size_t>(
-      std::min<uint64_t>(*num_objectives, 1024)));
-  for (uint64_t j = 0; j < *num_objectives; ++j) {
-    const auto body_len = r->ReadU64();
-    if (!body_len) return std::nullopt;
-    const std::string_view rest = r->Rest();
-    if (*body_len > rest.size()) return std::nullopt;
-    auto nested =
-        BottomK<Stored>::ViewBody(rest.substr(0, static_cast<size_t>(*body_len)));
-    if (!nested || nested->k() != *k) return std::nullopt;
-    view.objectives_.push_back(*nested);
-    r->Skip(static_cast<size_t>(*body_len));
-  }
-  if (!r->AtEnd()) return std::nullopt;
-  return view;
-}
-
-bool MultiObjectiveSampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->num_objectives() != sketches_.size()) return false;
-    views.push_back(std::move(*view));
-  }
-  if (views.empty()) return true;  // strict no-op, like MergeMany({})
+void MultiObjectiveSampler::MergeValidatedViews(
+    std::span<const FrameView> views) {
   // Objective-wise threshold-pruned application: observationally equal
   // to the per-frame Merge() chain, objective by objective.
-  std::vector<BottomK<Stored>::FrameView> per_objective;
-  per_objective.reserve(views.size());
   for (size_t j = 0; j < sketches_.size(); ++j) {
-    per_objective.clear();
-    for (const FrameView& v : views) per_objective.push_back(v.objective(j));
-    sketches_[j].MergeValidatedViews(per_objective);
+    sketches_[j].MergeValidatedViews(
+        views, [j](const FrameView& v) -> const BottomK<Stored>::FrameView& {
+          return v.objective(j);
+        });
   }
-  return true;
 }
 
 }  // namespace ats

@@ -12,6 +12,7 @@
 #ifndef ATS_SAMPLERS_MULTI_OBJECTIVE_H_
 #define ATS_SAMPLERS_MULTI_OBJECTIVE_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -64,7 +65,7 @@ struct PayloadCodec<MultiObjectiveStored> {
   }
 };
 
-class MultiObjectiveSampler {
+class MultiObjectiveSampler : public FrameCodec<MultiObjectiveSampler> {
  public:
   using Stored = MultiObjectiveStored;
 
@@ -117,23 +118,11 @@ class MultiObjectiveSampler {
   // serialize-deserialize-serialize is byte-stable.
 
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<MultiObjectiveSampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<MultiObjectiveSampler> Deserialize(
-      std::string_view bytes) {
-    return DeserializeSketch<MultiObjectiveSampler>(bytes);
-  }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  /// Read-only view over a whole serialized frame: outer layers
-  /// validated, then each objective's sample region exposed through the
-  /// generic bottom-k frame view (one small vector of views is the only
-  /// allocation). Borrows the frame's storage; must not outlive it.
+  /// Read-only view over one frame body: outer fields validated, then
+  /// each objective's sample region exposed through the generic bottom-k
+  /// frame view (one small vector of views is the only allocation).
+  /// Borrows the frame's storage; must not outlive it.
   class FrameView {
    public:
     size_t num_objectives() const { return objectives_.size(); }
@@ -145,20 +134,22 @@ class MultiObjectiveSampler {
    private:
     friend class MultiObjectiveSampler;
     size_t k_ = 0;
+    std::array<uint64_t, 4> rng_state_ = {};
     std::vector<BottomK<Stored>::FrameView> objectives_;
   };
 
-  /// Parses a SerializeToString buffer; nullopt on exactly the inputs
-  /// Deserialize rejects.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  /// The frame hooks (util/serialize.h). A frame is merge-compatible iff
+  /// it carries this sampler's objective count; MergeValidatedViews runs
+  /// the threshold-pruned bottom-k merge objective by objective.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static MultiObjectiveSampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView& view) const {
+    return view.num_objectives() == sketches_.size();
+  }
+  void MergeValidatedViews(std::span<const FrameView> views);
 
-  /// Objective-wise threshold-pruned merge straight off the wire:
-  /// observationally identical to deserializing every frame and merging
-  /// with Merge() in span order. Every frame must carry this sampler's
-  /// objective count. Returns false -- sampler observably unchanged --
-  /// if ANY frame fails validation; all frames are vetted before the
-  /// first is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x31424f4d;  // "MOB1"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
   std::vector<BottomK<Stored>> sketches_;

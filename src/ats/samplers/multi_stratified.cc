@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ats/util/check.h"
 
 namespace ats {
-
-namespace {
-
-constexpr uint32_t kStratifiedMagic = 0x3153534d;  // "MSS1"
-constexpr uint32_t kStratifiedVersion = 2;
-
-}  // namespace
 
 MultiStratifiedSampler::MultiStratifiedSampler(size_t num_dimensions,
                                                size_t k, uint64_t seed)
@@ -163,7 +157,7 @@ void MultiStratifiedSampler::Merge(const MultiStratifiedSampler& other) {
 }
 
 void MultiStratifiedSampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kStratifiedMagic, kStratifiedVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteU64(num_dimensions_);
   w.WriteU64(k_);
   WriteRngState(w, rng_.State());
@@ -190,15 +184,18 @@ void MultiStratifiedSampler::SerializeTo(ByteWriter& w) const {
 }
 
 std::optional<MultiStratifiedSampler::FrameView>
-MultiStratifiedSampler::ViewBody(std::string_view body) {
-  ByteReader r(body);
-  if (!ReadSketchHeader(r, kStratifiedMagic, kStratifiedVersion)) {
-    return std::nullopt;
-  }
+MultiStratifiedSampler::ReadView(ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto num_dimensions = r.ReadU64();
   const auto k = r.ReadU64();
   if (!num_dimensions || !k) return std::nullopt;
   if (*num_dimensions < 1 || *k < 1) return std::nullopt;
+  // An item entry holds 1 + num_dimensions u64 keys: a larger count
+  // would wrap item_stride() and send entry reads past the region.
+  if (*num_dimensions >
+      std::numeric_limits<size_t>::max() / sizeof(uint64_t) - 3) {
+    return std::nullopt;
+  }
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
   const auto num_strata = r.ReadU64();
@@ -220,11 +217,9 @@ MultiStratifiedSampler::ViewBody(std::string_view body) {
   if (!num_items) return std::nullopt;
   const std::string_view item_region = r.Rest();
   const size_t item_stride = view.item_stride();
-  if (item_region.size() % item_stride != 0 ||
-      *num_items != item_region.size() / item_stride) {
-    return std::nullopt;
-  }
-  view.items_ = item_region;
+  if (*num_items > item_region.size() / item_stride) return std::nullopt;
+  view.items_ = item_region.substr(0, *num_items * item_stride);
+  r.Skip(view.items_.size());
   // Stratum table: strictly ascending (dimension, stratum key), every
   // dimension in range, thresholds in (0, 1] or +infinity (priorities
   // are NextDoubleOpenZero draws), capacity within the initial k,
@@ -300,7 +295,7 @@ MultiStratifiedSampler::ViewBody(std::string_view body) {
   return view;
 }
 
-MultiStratifiedSampler MultiStratifiedSampler::FromValidatedView(
+MultiStratifiedSampler MultiStratifiedSampler::FromView(
     const FrameView& view) {
   MultiStratifiedSampler sampler(view.num_dimensions(), view.k(),
                                  /*seed=*/1);
@@ -333,48 +328,6 @@ MultiStratifiedSampler MultiStratifiedSampler::FromValidatedView(
     sampler.items_.emplace(key, std::move(item));
   }
   return sampler;
-}
-
-std::optional<MultiStratifiedSampler> MultiStratifiedSampler::Deserialize(
-    ByteReader& r) {
-  const std::string_view body = r.Rest();
-  const auto view = ViewBody(body);
-  if (!view) return std::nullopt;
-  r.Skip(body.size());  // ViewBody consumed the whole body
-  return FromValidatedView(*view);
-}
-
-FrameFault MultiStratifiedSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kStratifiedMagic, kStratifiedVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<MultiStratifiedSampler::FrameView>
-MultiStratifiedSampler::DeserializeView(std::string_view frame) {
-  const auto body = CheckedFrameBody(frame);
-  if (!body) return std::nullopt;
-  return ViewBody(*body);
-}
-
-bool MultiStratifiedSampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing),
-  // then apply as the literal Merge() chain in span order.
-  std::vector<MultiStratifiedSampler> parsed;
-  parsed.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto sampler = Deserialize(f);
-    if (!sampler || sampler->num_dimensions_ != num_dimensions_ ||
-        sampler->k_ != k_) {
-      return false;
-    }
-    parsed.push_back(std::move(*sampler));
-  }
-  for (const MultiStratifiedSampler& s : parsed) Merge(s);
-  return true;
 }
 
 }  // namespace ats

@@ -35,7 +35,7 @@
 
 namespace ats {
 
-class MultiStratifiedSampler {
+class MultiStratifiedSampler : public FrameCodec<MultiStratifiedSampler> {
  public:
   // One stratum key per dimension.
   using StrataKeys = std::vector<uint64_t>;
@@ -104,23 +104,11 @@ class MultiStratifiedSampler {
   // probability zero under continuous draws -- fails closed).
 
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<MultiStratifiedSampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<MultiStratifiedSampler> Deserialize(
-      std::string_view bytes) {
-    return DeserializeSketch<MultiStratifiedSampler>(bytes);
-  }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  /// Read-only view over a whole serialized frame: every layer
-  /// validated (including the membership-count reconstruction check),
-  /// the two fixed-stride regions exposed in place. Borrows the frame's
-  /// storage; must not outlive it.
+  /// Read-only view over one frame body: every layer validated
+  /// (including the membership-count reconstruction check), the two
+  /// fixed-stride regions exposed in place. Borrows the frame's storage;
+  /// must not outlive it.
   class FrameView {
    public:
     size_t num_dimensions() const { return num_dimensions_; }
@@ -178,18 +166,22 @@ class MultiStratifiedSampler {
     std::string_view items_;
   };
 
-  /// Parses a SerializeToString buffer; nullopt on exactly the inputs
-  /// Deserialize rejects.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  /// The frame hooks (util/serialize.h). ReadView's only allocation is
+  /// the per-stratum member tally. A frame is merge-compatible iff it
+  /// carries this sampler's num_dimensions and k; streams must be
+  /// key-disjoint (Merge's precondition). MergeValidatedViews is the
+  /// literal Merge() chain over the materialized frames.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static MultiStratifiedSampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView& view) const {
+    return view.num_dimensions() == num_dimensions_ && view.k() == k_;
+  }
+  void MergeValidatedViews(std::span<const FrameView> views) {
+    for (const FrameView& v : views) Merge(FromView(v));
+  }
 
-  /// Merge straight off the wire: observationally identical to
-  /// deserializing every frame and merging with Merge() in span order
-  /// (it is exactly that chain, after vetting). Every frame must carry
-  /// this sampler's num_dimensions and k; streams must be key-disjoint
-  /// (Merge's precondition). Returns false -- sampler observably
-  /// unchanged -- if ANY frame fails validation; all frames are vetted
-  /// before the first is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x3153534d;  // "MSS1"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
   struct ItemData {
@@ -214,14 +206,6 @@ class MultiStratifiedSampler {
   // Evicts the largest-priority member of a stratum, lowering its
   // threshold; drops the item globally when its membership count hits 0.
   void EvictTop(Stratum& stratum);
-
-  // Parses a bare (un-checksummed) MSS1 body spanning the whole of
-  // `body`; shared by the eager and view paths so the validation logic
-  // exists once.
-  static std::optional<FrameView> ViewBody(std::string_view body);
-
-  // Rebuilds a sampler from a fully validated frame view.
-  static MultiStratifiedSampler FromValidatedView(const FrameView& view);
 
   size_t num_dimensions_;
   size_t k_;

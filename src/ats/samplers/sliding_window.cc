@@ -15,13 +15,6 @@
 #include "ats/core/simd/simd_dispatch.h"
 #include "ats/util/check.h"
 
-namespace {
-
-constexpr uint32_t kWindowMagic = 0x53574e31;  // "SWN1"
-constexpr uint32_t kWindowVersion = 2;
-
-}  // namespace
-
 namespace ats {
 
 SlidingWindowSampler::SlidingWindowSampler(size_t k, double window,
@@ -816,7 +809,7 @@ void SlidingWindowSampler::Merge(const SlidingWindowSampler& other) {
 // --- Wire format ------------------------------------------------------
 
 void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kWindowMagic, kWindowVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteU64(k_);
   w.WriteDouble(window_);
   w.WriteDouble(last_time_);
@@ -871,11 +864,11 @@ void SlidingWindowSampler::SerializeTo(ByteWriter& w) const {
 
 namespace {
 
-// Shared per-entry validation for Deserialize and DeserializeView. The
-// sampler's invariants are tight enough to check field-by-field:
-// priorities are open-unit-interval draws below a threshold in (0, 1];
-// priority == threshold ties are legal storage (the item whose priority
-// became an eviction bound stays stored; see docs/WIRE_FORMAT.md).
+// Per-entry validation for ReadView. The sampler's invariants are tight
+// enough to check field-by-field: priorities are open-unit-interval
+// draws below a threshold in (0, 1]; priority == threshold ties are
+// legal storage (the item whose priority became an eviction bound stays
+// stored; see docs/WIRE_FORMAT.md).
 // Entries must sit inside their region's time range and arrive in
 // non-decreasing time order. NaNs fail the comparisons by construction.
 bool ValidWindowEntry(const SlidingWindowSampler::StoredItem& it,
@@ -891,11 +884,23 @@ bool ValidWindowEntry(const SlidingWindowSampler::StoredItem& it,
 
 }  // namespace
 
-std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
-    ByteReader& r) {
-  if (!ReadSketchHeader(r, kWindowMagic, kWindowVersion)) {
-    return std::nullopt;
-  }
+SlidingWindowSampler::StoredItem SlidingWindowSampler::FrameView::entry(
+    size_t i) const {
+  // A 32-byte wire entry is id, time, priority, threshold (see
+  // docs/WIRE_FORMAT.md): StoredItem's layout.
+  static_assert(sizeof(StoredItem) == kStride &&
+                offsetof(StoredItem, time) == 8 &&
+                offsetof(StoredItem, priority) == 16 &&
+                offsetof(StoredItem, threshold) == 24);
+  ATS_DCHECK(i < current_count_ + expired_count_);
+  StoredItem it;
+  std::memcpy(static_cast<void*>(&it), entries_.data() + i * kStride, kStride);
+  return it;
+}
+
+std::optional<SlidingWindowSampler::FrameView>
+SlidingWindowSampler::ReadView(ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto k = r.ReadU64();
   const auto window = r.ReadDouble();
   const auto last_time = r.ReadDouble();
@@ -915,102 +920,23 @@ std::optional<SlidingWindowSampler> SlidingWindowSampler::Deserialize(
   const auto expired_count = r.ReadU64();
   if (!current_count || !expired_count) return std::nullopt;
   if (*current_count > *k) return std::nullopt;
-
-  SlidingWindowSampler out(static_cast<size_t>(*k), *window, /*seed=*/1);
-  out.rng_.SetState(*rng_state);
-  out.last_time_ = *last_time;
-  const auto read_entry = [&r]() -> std::optional<StoredItem> {
-    const auto id = r.ReadU64();
-    const auto time = r.ReadDouble();
-    const auto priority = r.ReadDouble();
-    const auto threshold = r.ReadDouble();
-    if (!id.has_value() || !time || !priority || !threshold) {
-      return std::nullopt;
-    }
-    return StoredItem{*id, *time, *priority, *threshold};
-  };
-  double prev = -std::numeric_limits<double>::infinity();
-  for (uint64_t i = 0; i < *current_count; ++i) {
-    const auto it = read_entry();
-    if (!it ||
-        !ValidWindowEntry(*it, *last_time - *window, *last_time, prev)) {
-      return std::nullopt;
-    }
-    prev = it->time;
-    out.Append(it->priority, it->id, it->time, it->threshold);
-  }
-  prev = -std::numeric_limits<double>::infinity();
-  for (uint64_t i = 0; i < *expired_count; ++i) {
-    const auto it = read_entry();
-    if (!it || !ValidWindowEntry(*it, *last_time - 2.0 * *window,
-                                 *last_time - *window, prev)) {
-      return std::nullopt;
-    }
-    prev = it->time;
-    out.expired_.push_back(*it);
-  }
-  return out;
-}
-
-SlidingWindowSampler::StoredItem SlidingWindowSampler::FrameView::entry(
-    size_t i) const {
-  // A 32-byte wire entry is id, time, priority, threshold (see
-  // docs/WIRE_FORMAT.md): StoredItem's layout.
-  static_assert(sizeof(StoredItem) == kStride &&
-                offsetof(StoredItem, time) == 8 &&
-                offsetof(StoredItem, priority) == 16 &&
-                offsetof(StoredItem, threshold) == 24);
-  ATS_DCHECK(i < current_count_ + expired_count_);
-  StoredItem it;
-  std::memcpy(static_cast<void*>(&it), entries_.data() + i * kStride, kStride);
-  return it;
-}
-
-FrameFault SlidingWindowSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kWindowMagic, kWindowVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<SlidingWindowSampler::FrameView>
-SlidingWindowSampler::DeserializeView(std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kWindowMagic, kWindowVersion);
-  if (!r) return std::nullopt;
-  const auto k = r->ReadU64();
-  const auto window = r->ReadDouble();
-  const auto last_time = r->ReadDouble();
-  if (!k || !window || !last_time) return std::nullopt;
-  if (*k < 1 || !(*window > 0.0) || !std::isfinite(*window)) {
-    return std::nullopt;
-  }
-  if (std::isnan(*last_time) ||
-      *last_time == std::numeric_limits<double>::infinity()) {
-    return std::nullopt;
-  }
-  if (!ReadRngState(*r)) return std::nullopt;
-  const auto current_count = r->ReadU64();
-  const auto expired_count = r->ReadU64();
-  if (!current_count || !expired_count) return std::nullopt;
-  if (*current_count > *k) return std::nullopt;
   // Fixed-stride entry region: one size comparison bounds-checks every
   // entry; the division-first clauses keep the arithmetic overflow-free.
-  const std::string_view entries = r->Rest();
-  const size_t max_entries = entries.size() / FrameView::kStride;
+  const std::string_view rest = r.Rest();
+  const size_t max_entries = rest.size() / FrameView::kStride;
   if (*current_count > max_entries || *expired_count > max_entries ||
-      *current_count + *expired_count > max_entries ||
-      entries.size() != (*current_count + *expired_count) *
-                            FrameView::kStride) {
+      *current_count + *expired_count > max_entries) {
     return std::nullopt;
   }
   FrameView view;
   view.k_ = *k;
   view.window_ = *window;
   view.last_time_ = *last_time;
+  view.rng_state_ = *rng_state;
   view.current_count_ = static_cast<size_t>(*current_count);
   view.expired_count_ = static_cast<size_t>(*expired_count);
-  view.entries_ = entries;
+  view.entries_ = rest.substr(
+      0, (view.current_count_ + view.expired_count_) * FrameView::kStride);
   double prev = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < view.current_count_; ++i) {
     const StoredItem it = view.entry(i);
@@ -1029,29 +955,33 @@ SlidingWindowSampler::DeserializeView(std::string_view frame) {
     }
     prev = it.time;
   }
+  r.Skip(view.entries_.size());
   return view;
 }
 
-bool SlidingWindowSampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Validate every frame before the first one is applied; a window
-  // mismatch is as fatal as a parse failure (merging different window
-  // lengths has no defined semantics).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->window() != window_) return false;
-    views.push_back(*view);
+SlidingWindowSampler SlidingWindowSampler::FromView(const FrameView& view) {
+  SlidingWindowSampler out(view.k(), view.window(), /*seed=*/1);
+  out.rng_.SetState(view.rng_state_);
+  out.last_time_ = view.last_time();
+  const size_t current = view.current_count();
+  for (size_t i = 0; i < current; ++i) {
+    const StoredItem it = view.entry(i);
+    out.Append(it.priority, it.id, it.time, it.threshold);
   }
-  // The validated views go through the merge engine in span order --
-  // observationally identical to Deserialize + Merge per frame, without
-  // materializing a sampler per frame. An empty list is a strict no-op.
-  if (views.empty()) return true;
+  out.expired_.reserve(view.expired_count());
+  for (size_t i = current; i < current + view.expired_count(); ++i) {
+    out.expired_.push_back(view.entry(i));
+  }
+  return out;
+}
+
+void SlidingWindowSampler::MergeValidatedViews(
+    std::span<const FrameView> views) {
+  // Observationally identical to Deserialize + Merge per frame, without
+  // materializing a sampler per frame.
   MergeEngine::Run(*this, [&](const auto& visit) {
     for (const FrameView& v : views) visit(v);
   });
-  return true;
 }
 
 }  // namespace ats

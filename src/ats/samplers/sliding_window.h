@@ -76,6 +76,7 @@
 #define ATS_SAMPLERS_SLIDING_WINDOW_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -94,7 +95,7 @@
 
 namespace ats {
 
-class SlidingWindowSampler {
+class SlidingWindowSampler : public FrameCodec<SlidingWindowSampler> {
  public:
   struct StoredItem {
     uint64_t id = 0;
@@ -205,25 +206,12 @@ class SlidingWindowSampler {
   // threshold sample (see docs/WIRE_FORMAT.md).
 
   /// Appends the wire frame. Canonicalizes nothing: entries are written
-  /// as stored; Deserialize re-runs expiry at last_time.
+  /// as stored.
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<SlidingWindowSampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<SlidingWindowSampler> Deserialize(
-      std::string_view bytes) {
-    return DeserializeSketch<SlidingWindowSampler>(bytes);
-  }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  /// Zero-copy read-only view over a whole serialized frame (checksum
-  /// included). Parsing validates everything Deserialize validates but
-  /// materializes nothing; the view borrows the frame's storage and must
-  /// not outlive it.
+  /// Zero-copy read-only view over one frame body: every field and entry
+  /// validated, nothing materialized; the view borrows the frame's
+  /// storage and must not outlive it.
   class FrameView {
    public:
     size_t k() const { return static_cast<size_t>(k_); }
@@ -243,23 +231,26 @@ class SlidingWindowSampler {
     uint64_t k_ = 0;
     double window_ = 0.0;
     double last_time_ = 0.0;
+    std::array<uint64_t, 4> rng_state_ = {};
     size_t current_count_ = 0;
     size_t expired_count_ = 0;
     std::string_view entries_;
   };
 
-  /// Parses a SerializeToString buffer into a FrameView; nullopt on
-  /// exactly the inputs Deserialize rejects. Allocation-free: hostile
-  /// capacity claims cannot reserve memory here.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  /// The frame hooks (util/serialize.h). ReadView allocates nothing, so
+  /// hostile capacity claims cannot reserve memory there. A frame is
+  /// merge-compatible iff its window matches (merging different window
+  /// lengths has no defined semantics); MergeValidatedViews runs the
+  /// views through the merge engine in span order.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static SlidingWindowSampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView& view) const {
+    return view.window() == window_;
+  }
+  void MergeValidatedViews(std::span<const FrameView> views);
 
-  /// K-way merge straight off the wire, through the same merge engine:
-  /// observationally identical to deserializing every frame and merging
-  /// the results with Merge() in span order. Returns false -- leaving
-  /// the sampler observably unchanged -- if ANY frame fails validation
-  /// or carries a mismatched window; all frames are vetted before the
-  /// first one is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x53574e31;  // "SWN1"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
   // The merge engine behind Merge, MergeMany and MergeManyFrames (see

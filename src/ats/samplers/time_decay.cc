@@ -7,11 +7,6 @@
 #include "ats/core/simd/simd_dispatch.h"
 #include "ats/util/check.h"
 
-namespace {
-constexpr uint32_t kDecayMagic = 0x54444b31;  // "TDK1"
-constexpr uint32_t kDecayVersion = 2;
-}  // namespace
-
 namespace ats {
 
 TimeDecaySampler::TimeDecaySampler(size_t k, uint64_t seed)
@@ -100,59 +95,28 @@ double TimeDecaySampler::EstimateDecayedTotal(double now) const {
 }
 
 void TimeDecaySampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kDecayMagic, kDecayVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   WriteRngState(w, rng_.State());
   sketch_.SerializeTo(w);  // the nested BottomK frame carries the sample
 }
 
-std::optional<TimeDecaySampler> TimeDecaySampler::Deserialize(
+std::optional<TimeDecaySampler::FrameView> TimeDecaySampler::ReadView(
     ByteReader& r) {
-  if (!ReadSketchHeader(r, kDecayMagic, kDecayVersion)) {
-    return std::nullopt;
-  }
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto rng_state = ReadRngState(r);
   if (!rng_state) return std::nullopt;
-  auto sketch = BottomK<Stored>::Deserialize(r);
-  if (!sketch) return std::nullopt;
-  TimeDecaySampler sampler(sketch->k(), /*seed=*/1);
-  sampler.sketch_ = std::move(*sketch);
-  sampler.rng_.SetState(*rng_state);
-  return sampler;
-}
-
-FrameFault TimeDecaySampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kDecayMagic, kDecayVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<TimeDecaySampler::FrameView> TimeDecaySampler::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kDecayMagic, kDecayVersion);
-  if (!r) return std::nullopt;
-  if (!ReadRngState(*r)) return std::nullopt;
-  // The rest of the body is exactly the embedded bottom-k sample region.
-  auto sample = BottomK<Stored>::ViewBody(r->Rest());
+  auto sample = BottomK<Stored>::ReadView(r);
   if (!sample) return std::nullopt;
   FrameView view;
+  view.rng_state_ = *rng_state;
   view.sample_ = *sample;
   return view;
 }
 
-bool TimeDecaySampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<BottomK<Stored>::FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view) return false;
-    views.push_back(view->sample_);
-  }
-  if (views.empty()) return true;  // strict no-op, like MergeMany({})
-  sketch_.MergeValidatedViews(views);
-  return true;
+TimeDecaySampler TimeDecaySampler::FromView(const FrameView& view) {
+  TimeDecaySampler sampler(BottomK<Stored>::FromView(view.sample_));
+  sampler.rng_.SetState(view.rng_state_);
+  return sampler;
 }
 
 }  // namespace ats

@@ -21,6 +21,7 @@
 #ifndef ATS_SAMPLERS_TIME_DECAY_H_
 #define ATS_SAMPLERS_TIME_DECAY_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ats/core/bottom_k.h"
@@ -74,7 +76,7 @@ struct PayloadCodec<DecayedStored> {
   }
 };
 
-class TimeDecaySampler {
+class TimeDecaySampler : public FrameCodec<TimeDecaySampler> {
  public:
   using Stored = DecayedStored;
 
@@ -165,23 +167,10 @@ class TimeDecaySampler {
   // the log-key threshold travel, per the PR-3 tie rule.
 
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<TimeDecaySampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<TimeDecaySampler> Deserialize(
-      std::string_view bytes) {
-    return DeserializeSketch<TimeDecaySampler>(bytes);
-  }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  /// Zero-copy read-only view over a whole serialized frame: the outer
-  /// checksum/header/RNG fields are validated, then the embedded sample
-  /// region is exposed through the generic bottom-k frame view. Borrows
-  /// the frame's storage; must not outlive it.
+  /// Zero-copy read-only view over one frame body: the RNG state, then
+  /// the embedded sample region exposed through the generic bottom-k
+  /// frame view. Borrows the frame's storage; must not outlive it.
   class FrameView {
    public:
     size_t k() const { return sample_.k(); }
@@ -192,21 +181,28 @@ class TimeDecaySampler {
 
    private:
     friend class TimeDecaySampler;
+    std::array<uint64_t, 4> rng_state_ = {};
     BottomK<Stored>::FrameView sample_;
   };
 
-  /// Parses a SerializeToString buffer; nullopt on exactly the inputs
-  /// Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  /// The frame hooks (util/serialize.h); every valid frame is
+  /// merge-compatible.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static TimeDecaySampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView&) const { return true; }
+  void MergeValidatedViews(std::span<const FrameView> views) {
+    sketch_.MergeValidatedViews(views, &FrameView::sample_);
+  }
 
-  /// Threshold-pruned k-way merge straight off the wire: observationally
-  /// identical to deserializing every frame and merging with Merge() in
-  /// span order. Returns false -- sampler observably unchanged -- if ANY
-  /// frame fails validation; all frames are vetted before the first is
-  /// applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x54444b31;  // "TDK1"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
+  // Adopts a materialized sample (FromView), so no default-sized store
+  // is allocated only to be replaced.
+  explicit TimeDecaySampler(BottomK<Stored> sketch)
+      : sketch_(std::move(sketch)), rng_(1) {}
+
   BottomK<Stored> sketch_;  // ordered by log K_i = log U_i - log w_i - t_i
   Xoshiro256 rng_;
   // Scratch columns for AddBatch (reused across calls).

@@ -9,9 +9,6 @@ namespace ats {
 
 namespace {
 
-constexpr uint32_t kVarianceMagic = 0x315a5356;  // "VSZ1"
-constexpr uint32_t kVarianceVersion = 2;
-
 // Entry-level wire validation: the summand must be finite, the weight a
 // positive finite double (priorities divide by it), and the priority a
 // positive finite draw (U/w with U in (0,1] and finite w is never 0,
@@ -143,7 +140,7 @@ void VarianceSizedSampler::Merge(const VarianceSizedSampler& other) {
 }
 
 void VarianceSizedSampler::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kVarianceMagic, kVarianceVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteDouble(delta_squared_);
   WriteRngState(w, rng_.State());
   w.WriteU64(items_.size());
@@ -155,11 +152,9 @@ void VarianceSizedSampler::SerializeTo(ByteWriter& w) const {
   }
 }
 
-std::optional<VarianceSizedSampler> VarianceSizedSampler::Deserialize(
-    ByteReader& r) {
-  if (!ReadSketchHeader(r, kVarianceMagic, kVarianceVersion)) {
-    return std::nullopt;
-  }
+std::optional<VarianceSizedSampler::FrameView>
+VarianceSizedSampler::ReadView(ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
   const auto delta_squared = r.ReadDouble();
   if (!delta_squared || !(*delta_squared > 0.0) ||
       !std::isfinite(*delta_squared)) {
@@ -169,70 +164,35 @@ std::optional<VarianceSizedSampler> VarianceSizedSampler::Deserialize(
   if (!rng_state) return std::nullopt;
   const auto count = r.ReadU64();
   if (!count) return std::nullopt;
-  VarianceSizedSampler sampler(*delta_squared, /*seed=*/1);
-  sampler.rng_.SetState(*rng_state);
-  for (uint64_t i = 0; i < *count; ++i) {
-    const auto key = r.ReadU64();
-    const auto value = r.ReadDouble();
-    const auto weight = r.ReadDouble();
-    const auto priority = r.ReadDouble();
-    if (!key.has_value() || !value || !weight || !priority) {
-      return std::nullopt;
-    }
-    if (!ValidWireItem(*value, *weight, *priority)) return std::nullopt;
-    sampler.items_.push_back(
-        VarianceSizedItem{*key, *value, *weight, *priority});
-  }
-  return sampler;
-}
-
-FrameFault VarianceSizedSampler::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f =
-      ClassifyFrameBytes(frame, kVarianceMagic, kVarianceVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
-}
-
-std::optional<VarianceSizedSampler::FrameView>
-VarianceSizedSampler::DeserializeView(std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kVarianceMagic, kVarianceVersion);
-  if (!r) return std::nullopt;
-  const auto delta_squared = r->ReadDouble();
-  if (!delta_squared || !(*delta_squared > 0.0) ||
-      !std::isfinite(*delta_squared)) {
-    return std::nullopt;
-  }
-  if (!ReadRngState(*r)) return std::nullopt;
-  const auto count = r->ReadU64();
-  if (!count) return std::nullopt;
-  const std::string_view entries = r->Rest();
   // Division-form length check: immune to count * stride overflow.
-  if (entries.size() % FrameView::kStride != 0 ||
-      *count != entries.size() / FrameView::kStride) {
-    return std::nullopt;
-  }
+  const std::string_view rest = r.Rest();
+  if (*count > rest.size() / FrameView::kStride) return std::nullopt;
   FrameView view;
   view.delta_squared_ = *delta_squared;
-  view.entries_ = entries;
+  view.rng_state_ = *rng_state;
+  view.entries_ = rest.substr(0, *count * FrameView::kStride);
   for (size_t i = 0; i < view.size(); ++i) {
     if (!ValidWireItem(view.value(i), view.weight(i), view.priority(i))) {
       return std::nullopt;
     }
   }
+  r.Skip(view.entries_.size());
   return view;
 }
 
-bool VarianceSizedSampler::MergeManyFrames(
-    std::span<const std::string_view> frames) {
-  // Vet every frame before the first one is applied (all-or-nothing).
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->delta_squared() != delta_squared_) return false;
-    views.push_back(*view);
+VarianceSizedSampler VarianceSizedSampler::FromView(const FrameView& view) {
+  VarianceSizedSampler sampler(view.delta_squared(), /*seed=*/1);
+  sampler.rng_.SetState(view.rng_state_);
+  sampler.items_.reserve(view.size());
+  for (size_t i = 0; i < view.size(); ++i) {
+    sampler.items_.push_back(VarianceSizedItem{
+        view.key(i), view.value(i), view.weight(i), view.priority(i)});
   }
+  return sampler;
+}
+
+void VarianceSizedSampler::MergeValidatedViews(
+    std::span<const FrameView> views) {
   for (const FrameView& v : views) {
     for (size_t i = 0; i < v.size(); ++i) {
       items_.push_back(
@@ -240,7 +200,6 @@ bool VarianceSizedSampler::MergeManyFrames(
       dirty_ = true;
     }
   }
-  return true;
 }
 
 }  // namespace ats

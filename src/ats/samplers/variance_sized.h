@@ -25,6 +25,7 @@
 #ifndef ATS_SAMPLERS_VARIANCE_SIZED_H_
 #define ATS_SAMPLERS_VARIANCE_SIZED_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -62,7 +63,7 @@ VarianceSizedResult SolveVarianceSizedThreshold(
 // prefix stopping threshold. The prefix threshold is monotone
 // NON-DECREASING in the stream length (more data forces a larger
 // threshold for the same absolute target).
-class VarianceSizedSampler {
+class VarianceSizedSampler : public FrameCodec<VarianceSizedSampler> {
  public:
   VarianceSizedSampler(double delta_squared, uint64_t seed);
 
@@ -106,22 +107,9 @@ class VarianceSizedSampler {
   // canonical, so serialize-deserialize-serialize is byte-stable.
 
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<VarianceSizedSampler> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<VarianceSizedSampler> Deserialize(
-      std::string_view bytes) {
-    return DeserializeSketch<VarianceSizedSampler>(bytes);
-  }
 
-  /// Typed rejection reason for a frame Deserialize would refuse:
-  /// structural cause first (kTruncated / kBadMagic / kBadVersion /
-  /// checksum -> kCorruptBody), kCorruptBody for field- or entry-level
-  /// violations, kNone iff the frame parses.
-  static FrameFault DiagnoseFrame(std::string_view frame);
-
-  /// Zero-copy read-only view over a whole serialized frame: the outer
-  /// checksum/header/field layers are validated (including every entry's
-  /// fields), then the fixed-stride entry region is exposed in place.
+  /// Zero-copy read-only view over one frame body: every field and
+  /// entry validated, the fixed-stride entry region exposed in place.
   /// Borrows the frame's storage; must not outlive it.
   class FrameView {
    public:
@@ -144,19 +132,21 @@ class VarianceSizedSampler {
     }
 
     double delta_squared_ = 0.0;
+    std::array<uint64_t, 4> rng_state_ = {};
     std::string_view entries_;
   };
 
-  /// Parses a SerializeToString buffer; nullopt on exactly the inputs
-  /// Deserialize rejects. Allocation-free.
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
+  /// The frame hooks (util/serialize.h). ReadView allocates nothing. A
+  /// frame is merge-compatible iff it targets this sampler's delta^2.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static VarianceSizedSampler FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView& view) const {
+    return view.delta_squared() == delta_squared_;
+  }
+  void MergeValidatedViews(std::span<const FrameView> views);
 
-  /// Merge straight off the wire: observationally identical to
-  /// deserializing every frame and merging with Merge() in span order.
-  /// Every frame must target this sampler's delta^2. Returns false --
-  /// sampler observably unchanged -- if ANY frame fails validation; all
-  /// frames are vetted before the first is applied.
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  static constexpr uint32_t kWireMagic = 0x315a5356;  // "VSZ1"
+  static constexpr uint32_t kWireVersion = 2;
 
  private:
   void Refresh() const;

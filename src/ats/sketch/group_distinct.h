@@ -40,7 +40,7 @@
 
 namespace ats {
 
-class GroupDistinctSketch {
+class GroupDistinctSketch : public WholeFrame<GroupDistinctSketch> {
  public:
   // m: number of promoted per-group sketches; k: per-sketch capacity.
   GroupDistinctSketch(size_t m, size_t k, uint64_t hash_salt = 0);
@@ -131,11 +131,7 @@ class GroupDistinctSketch {
   // sketches, then the pool.
   void SerializeTo(ByteWriter& w) const;
   static std::optional<GroupDistinctSketch> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<GroupDistinctSketch> Deserialize(
-      std::string_view bytes) {
-    return DeserializeSketch<GroupDistinctSketch>(bytes);
-  }
+  using WholeFrame<GroupDistinctSketch>::Deserialize;
 
  private:
   // Shared routing core for Add/AddBatch: `priority` is the observation's

@@ -6,9 +6,6 @@
 #include "ats/util/check.h"
 
 namespace {
-constexpr uint32_t kKmvMagic = ats::KmvSketch::kWireMagic;
-constexpr uint32_t kKmvVersion = ats::KmvSketch::kWireVersion;
-
 // Wire stride of one (priority, key) frame entry.
 constexpr size_t kKmvEntryStride = sizeof(double) + sizeof(uint64_t);
 }  // namespace
@@ -151,15 +148,13 @@ uint64_t KmvSketch::FrameView::key(size_t i) const {
   return k;
 }
 
-std::optional<KmvSketch::FrameView> KmvSketch::DeserializeView(
-    std::string_view frame) {
-  auto r = OpenCheckedFrame(frame, kKmvMagic, kKmvVersion);
-  if (!r) return std::nullopt;
-  const auto k = r->ReadU64();
-  const auto salt = r->ReadU64();
-  const auto initial = r->ReadDouble();
-  const auto threshold = r->ReadDouble();
-  const auto count = r->ReadU64();
+std::optional<KmvSketch::FrameView> KmvSketch::ReadView(ByteReader& r) {
+  if (!ReadSketchHeader(r, kWireMagic, kWireVersion)) return std::nullopt;
+  const auto k = r.ReadU64();
+  const auto salt = r.ReadU64();
+  const auto initial = r.ReadDouble();
+  const auto threshold = r.ReadDouble();
+  const auto count = r.ReadU64();
   if (!k || !salt.has_value() || !initial || !threshold || !count) {
     return std::nullopt;
   }
@@ -168,40 +163,38 @@ std::optional<KmvSketch::FrameView> KmvSketch::DeserializeView(
     return std::nullopt;
   }
   // Fixed-stride entry region: one size comparison bounds-checks every
-  // entry (oversized or truncated regions are framing errors). The first
-  // clause keeps the multiplication overflow-free.
-  const std::string_view entries = r->Rest();
-  if (*count > entries.size() / kKmvEntryStride ||
-      entries.size() != *count * kKmvEntryStride) {
-    return std::nullopt;
-  }
+  // entry; the division keeps it overflow-free for hostile counts.
+  const std::string_view rest = r.Rest();
+  if (*count > rest.size() / kKmvEntryStride) return std::nullopt;
   FrameView view;
   view.k_ = *k;
   view.hash_salt_ = *salt;
   view.initial_threshold_ = *initial;
   view.threshold_ = *threshold;
-  view.entries_ = entries;
+  view.entries_ = rest.substr(0, *count * kKmvEntryStride);
   // Canonical encoding only: strictly ascending priorities inside
-  // (0, threshold). Ascending order implies distinctness, which is what
-  // lets this validation run without the hash set Deserialize builds.
+  // (0, threshold). Ascending order implies distinctness.
   double prev = 0.0;
   for (size_t i = 0; i < view.size(); ++i) {
     const double p = view.priority(i);
     if (!(p > prev) || p >= *threshold) return std::nullopt;
     prev = p;
   }
+  r.Skip(view.entries_.size());
   return view;
 }
 
-bool KmvSketch::MergeManyFrames(std::span<const std::string_view> frames) {
-  std::vector<FrameView> views;
-  views.reserve(frames.size());
-  for (std::string_view f : frames) {
-    auto view = DeserializeView(f);
-    if (!view || view->hash_salt() != hash_salt_) return false;
-    views.push_back(*view);
+KmvSketch KmvSketch::FromView(const FrameView& view) {
+  KmvSketch sketch(view.k(), view.initial_threshold(), view.hash_salt());
+  for (size_t i = 0; i < view.size(); ++i) {
+    sketch.seen_.insert(std::bit_cast<uint64_t>(view.priority(i)));
+    sketch.store_.Offer(view.priority(i), view.key(i));
   }
-  if (views.empty()) return true;  // strict no-op, no closing purge
+  sketch.store_.LowerThreshold(view.threshold());
+  return sketch;
+}
+
+void KmvSketch::MergeValidatedViews(std::span<const FrameView> views) {
   double bound = store_.Threshold();
   for (const FrameView& v : views) bound = std::min(bound, v.threshold());
   store_.LowerThreshold(bound);
@@ -237,18 +230,10 @@ bool KmvSketch::MergeManyFrames(std::span<const std::string_view> frames) {
     }
   }
   store_.PurgeAboveThreshold();
-  return true;
-}
-
-FrameFault KmvSketch::DiagnoseFrame(std::string_view frame) {
-  const FrameFault f = ClassifyFrameBytes(frame, kKmvMagic, kKmvVersion);
-  if (f != FrameFault::kNone) return f;
-  return Deserialize(frame).has_value() ? FrameFault::kNone
-                                        : FrameFault::kCorruptBody;
 }
 
 void KmvSketch::SerializeTo(ByteWriter& w) const {
-  WriteSketchHeader(w, kKmvMagic, kKmvVersion);
+  WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteU64(store_.k());
   w.WriteU64(hash_salt_);
   w.WriteDouble(store_.initial_threshold());
@@ -258,36 +243,6 @@ void KmvSketch::SerializeTo(ByteWriter& w) const {
     w.WriteDouble(priority);
     w.WriteU64(key);
   }
-}
-
-std::optional<KmvSketch> KmvSketch::Deserialize(ByteReader& r) {
-  if (!ReadSketchHeader(r, kKmvMagic, kKmvVersion)) return std::nullopt;
-  const auto k = r.ReadU64();
-  const auto salt = r.ReadU64();
-  const auto initial = r.ReadDouble();
-  const auto threshold = r.ReadDouble();
-  const auto count = r.ReadU64();
-  if (!k || !salt.has_value() || !initial || !threshold || !count) {
-    return std::nullopt;
-  }
-  if (*k < 1 || !(*initial > 0.0) || *initial > 1.0 ||
-      !(*threshold > 0.0) || *threshold > *initial || *count > *k) {
-    return std::nullopt;
-  }
-  KmvSketch sketch(static_cast<size_t>(*k), *initial, *salt);
-  for (uint64_t i = 0; i < *count; ++i) {
-    const auto priority = r.ReadDouble();
-    const auto key = r.ReadU64();
-    if (!priority || !key.has_value()) return std::nullopt;
-    if (!(*priority > 0.0) || *priority >= *threshold) return std::nullopt;
-    if (!sketch.seen_.insert(std::bit_cast<uint64_t>(*priority)).second) {
-      return std::nullopt;  // duplicate priority in the wire payload
-    }
-    sketch.store_.Offer(*priority, *key);
-  }
-  if (sketch.size() != *count) return std::nullopt;
-  sketch.store_.LowerThreshold(*threshold);
-  return sketch;
 }
 
 }  // namespace ats

@@ -36,7 +36,7 @@
 
 namespace ats {
 
-class KmvSketch {
+class KmvSketch : public FrameCodec<KmvSketch> {
  public:
   // k: sketch capacity. `initial_threshold` (default 1 = the whole unit
   // interval) lets composite sketches start pre-filtered, as the grouped
@@ -102,13 +102,13 @@ class KmvSketch {
   // salt; inputs aliasing `this` are skipped.
   void MergeMany(std::span<const KmvSketch* const> others);
 
-  // Zero-copy view over a whole serialized KMV frame (SerializeToString
-  // layout): header and every entry validated once, entries exposed as a
-  // bounds-checked span decoded lazily. Only the CANONICAL encoding is
-  // accepted -- entries strictly ascending by priority, exactly as
-  // SerializeTo emits them (Deserialize additionally tolerates permuted
-  // entries; the ascending check is what lets the view reject duplicate
-  // priorities without building a hash set). Borrows the frame's bytes.
+  // Zero-copy view over one KMV frame body: header and every entry
+  // validated once, entries exposed as a bounds-checked span decoded
+  // lazily. Only the CANONICAL encoding exists -- entries strictly
+  // ascending by priority, exactly as SerializeTo emits them -- which is
+  // what rejects duplicate priorities without building a hash set, and
+  // what lets a merge cut each frame to a prefix. Borrows the frame's
+  // bytes.
   class FrameView {
    public:
     size_t k() const { return static_cast<size_t>(k_); }
@@ -128,21 +128,17 @@ class KmvSketch {
     std::string_view entries_;
   };
 
-  // Parses a SerializeToString frame into a FrameView; nullopt on any
-  // input Deserialize rejects plus non-canonical (non-ascending) entry
-  // order. Allocates nothing: a hostile frame declaring a huge k cannot
-  // reserve memory here (kMaxEagerReserve guards the Deserialize path).
-  static std::optional<FrameView> DeserializeView(std::string_view frame);
-
-  // Threshold-pruned k-way union straight off the wire: observationally
-  // identical to deserializing every frame and merging the results with
-  // Merge() in span order, but zero-copy and pruned at the global min
-  // theta before any entry is decoded. Returns false -- leaving the
-  // sketch observably unchanged -- if any frame fails validation or
-  // carries a foreign hash salt; all frames are vetted before the first
-  // one is applied (a salt mismatch is a validation failure here, where
-  // the Merge path would ATS_CHECK-abort).
-  bool MergeManyFrames(std::span<const std::string_view> frames);
+  // The frame hooks (util/serialize.h). ReadView allocates nothing: a
+  // hostile frame declaring a huge k cannot reserve memory there
+  // (kMaxEagerReserve caps FromView's store). A frame is merge-compatible
+  // iff it carries this sketch's hash salt; MergeValidatedViews prunes
+  // at the global min theta before any entry is decoded.
+  static std::optional<FrameView> ReadView(ByteReader& r);
+  static KmvSketch FromView(const FrameView& view);
+  bool MergeCompatible(const FrameView& view) const {
+    return view.hash_salt() == hash_salt_;
+  }
+  void MergeValidatedViews(std::span<const FrameView> views);
 
   // Externally lowers theta (threshold composition, grouped merges);
   // purges members at/above the new threshold. The estimate stays a valid
@@ -155,22 +151,8 @@ class KmvSketch {
   const SampleStore<uint64_t>& store() const { return store_; }
 
   // Wire format for shipping sketches between nodes: versioned magic
-  // header plus the full sketch state. Deserialize returns nullopt on
-  // corrupt or foreign input.
+  // header plus the full sketch state, entries ascending by priority.
   void SerializeTo(ByteWriter& w) const;
-  static std::optional<KmvSketch> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<KmvSketch> Deserialize(std::string_view bytes) {
-    return DeserializeSketch<KmvSketch>(bytes);
-  }
-
-  // Typed rejection reason for a frame Deserialize would refuse: the
-  // structural cause (truncated / foreign magic / future version /
-  // checksum), or kCorruptBody when the frame is structurally sound but
-  // an interior field or entry fails validation. kNone iff the frame
-  // parses. Lets transports and aggregators count rejections per cause
-  // and distinguish retry-able short reads from poison frames.
-  static FrameFault DiagnoseFrame(std::string_view frame);
 
   static constexpr uint32_t kWireMagic = 0x4b4d5632;  // "KMV2"
   static constexpr uint32_t kWireVersion = 2;

@@ -32,7 +32,7 @@
 
 namespace ats {
 
-class LcsSketch {
+class LcsSketch : public WholeFrame<LcsSketch> {
  public:
   // Lifts a KMV sketch: every retained hash gets the sketch's threshold.
   static LcsSketch FromKmv(const KmvSketch& kmv);
@@ -56,10 +56,7 @@ class LcsSketch {
   // chain across serialization boundaries).
   void SerializeTo(ByteWriter& w) const;
   static std::optional<LcsSketch> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<LcsSketch> Deserialize(std::string_view bytes) {
-    return DeserializeSketch<LcsSketch>(bytes);
-  }
+  using WholeFrame<LcsSketch>::Deserialize;
 
  private:
   std::map<double, double> items_;  // priority -> per-item threshold

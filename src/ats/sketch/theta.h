@@ -28,7 +28,7 @@
 
 namespace ats {
 
-class ThetaSketch {
+class ThetaSketch : public WholeFrame<ThetaSketch> {
  public:
   // Sketches a stream with nominal capacity k (identical to KMV).
   explicit ThetaSketch(size_t k, uint64_t hash_salt = 0);
@@ -78,10 +78,7 @@ class ThetaSketch {
   // embedded KMV stream sketch or the union (theta, retained set).
   void SerializeTo(ByteWriter& w) const;
   static std::optional<ThetaSketch> Deserialize(ByteReader& r);
-  std::string SerializeToString() const { return SerializeSketch(*this); }
-  static std::optional<ThetaSketch> Deserialize(std::string_view bytes) {
-    return DeserializeSketch<ThetaSketch>(bytes);
-  }
+  using WholeFrame<ThetaSketch>::Deserialize;
 
  private:
   ThetaSketch();  // for Union / Deserialize results

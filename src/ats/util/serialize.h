@@ -12,8 +12,10 @@
 //   * static Deserialize(ByteReader&) -- parse + validate, nullopt on junk
 //   * Merge(const T&)                -- union with another instance
 // Sketches satisfying the concept compose: a container sketch can embed a
-// member sketch's bytes verbatim, and the generic SerializeSketch /
-// DeserializeSketch helpers provide whole-buffer (exact-length) framing.
+// member sketch's bytes verbatim. WholeFrame adds whole-buffer
+// (checksummed, exact-length) framing, and FrameCodec derives every
+// framing verb of a family with a zero-copy frame view from its one
+// parser (see below).
 #ifndef ATS_UTIL_SERIALIZE_H_
 #define ATS_UTIL_SERIALIZE_H_
 
@@ -22,9 +24,11 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "ats/core/simd/simd_dispatch.h"
 
@@ -238,17 +242,6 @@ inline uint32_t FrameChecksum(std::string_view covered) {
                                           : Crc32c(covered);
 }
 
-// Whole-buffer framing: serialize a sketch into an owned byte string with
-// a trailing checksum over the sketch bytes (nested sketches embedded via
-// SerializeTo are covered by the outer frame).
-template <MergeableSketch T>
-std::string SerializeSketch(const T& sketch) {
-  ByteWriter w;
-  sketch.SerializeTo(w);
-  w.WriteU32(FrameChecksum(w.bytes()));
-  return w.Take();
-}
-
 // Verifies and strips the trailing frame checksum -- FNV-1a or CRC32C,
 // as the body's header version selects -- returning the body bytes
 // (nullopt on truncation or mismatch).
@@ -262,34 +255,6 @@ inline std::optional<std::string_view> CheckedFrameBody(
   return body;
 }
 
-// Opens a whole-buffer frame for zero-copy viewing: checksum verified
-// and stripped, sketch header consumed and validated. The returned
-// reader is positioned at the first post-header field; Rest() after the
-// prefix reads yields the entry region. Shared by every
-// DeserializeView so the checksum/header machinery exists once.
-inline std::optional<ByteReader> OpenCheckedFrame(std::string_view frame,
-                                                  uint32_t magic,
-                                                  uint32_t max_version) {
-  const auto body = CheckedFrameBody(frame);
-  if (!body) return std::nullopt;
-  ByteReader r(*body);
-  if (!ReadSketchHeader(r, magic, max_version)) return std::nullopt;
-  return r;
-}
-
-// Whole-buffer parsing: the checksum must match and the sketch must
-// consume the buffer exactly (trailing junk is a framing error, not a
-// valid message).
-template <MergeableSketch T>
-std::optional<T> DeserializeSketch(std::string_view bytes) {
-  const auto body = CheckedFrameBody(bytes);
-  if (!body) return std::nullopt;
-  ByteReader r(*body);
-  auto sketch = T::Deserialize(r);
-  if (!sketch.has_value() || !r.AtEnd()) return std::nullopt;
-  return sketch;
-}
-
 // Structural triage of a whole-buffer frame against a family's magic and
 // version ceiling, in header order: too short to even hold the 8-byte
 // header plus the trailing checksum -> kTruncated; foreign magic ->
@@ -300,8 +265,7 @@ std::optional<T> DeserializeSketch(std::string_view bytes) {
 // kCorruptBody; the transport envelope (cluster/envelope.h) declares its
 // payload length and is where short reads classify as kTruncated.
 // Returns kNone when the structural layers pass -- body-level field
-// validation may still reject the frame, which callers report as
-// kCorruptBody (see the family DiagnoseFrame methods).
+// validation may still reject the frame (FrameCodec::DiagnoseFrame).
 inline FrameFault ClassifyFrameBytes(std::string_view frame, uint32_t magic,
                                      uint32_t max_version) {
   constexpr size_t kHeaderAndChecksum = 3 * sizeof(uint32_t);
@@ -315,26 +279,115 @@ inline FrameFault ClassifyFrameBytes(std::string_view frame, uint32_t magic,
   return FrameFault::kNone;
 }
 
-// DeserializeSketch with a typed rejection reason: on failure, `fault`
-// (if non-null) is set to the structural cause, or kCorruptBody when the
-// frame is structurally sound but body validation rejected it. On
-// success `fault` is kNone.
-template <MergeableSketch T>
-std::optional<T> DeserializeSketchDiagnosed(std::string_view bytes,
-                                            uint32_t magic,
-                                            uint32_t max_version,
-                                            FrameFault* fault) {
-  auto sketch = DeserializeSketch<T>(bytes);
-  if (sketch.has_value()) {
-    if (fault) *fault = FrameFault::kNone;
+// --- Whole-buffer framing ---------------------------------------------
+
+// The string pair every family inherits (CRTP): a whole-buffer frame is
+// the family's SerializeTo bytes plus a trailing checksum over them
+// (nested sketches embedded via SerializeTo are covered by the outer
+// frame), and parsing one must consume the body exactly -- trailing junk
+// is a framing error, not a valid message. A family that declares its
+// own Deserialize(ByteReader&) re-exposes the string form with
+// `using WholeFrame<Family>::Deserialize;`.
+template <typename Family>
+class WholeFrame {
+ public:
+  std::string SerializeToString() const {
+    ByteWriter w;
+    static_cast<const Family&>(*this).SerializeTo(w);
+    w.WriteU32(FrameChecksum(w.bytes()));
+    return w.Take();
+  }
+
+  static std::optional<Family> Deserialize(std::string_view frame) {
+    const auto body = CheckedFrameBody(frame);
+    if (!body) return std::nullopt;
+    ByteReader r(*body);
+    auto sketch = Family::Deserialize(r);
+    if (!sketch.has_value() || !r.AtEnd()) return std::nullopt;
     return sketch;
   }
-  if (fault) {
-    const FrameFault f = ClassifyFrameBytes(bytes, magic, max_version);
-    *fault = f == FrameFault::kNone ? FrameFault::kCorruptBody : f;
+};
+
+// --- The frame codec ----------------------------------------------------
+
+// An adaptive-threshold sample can be treated as a fixed-threshold sample,
+// so every viewable family's frame has one shape: a header, the
+// thresholds, and the entries below them. FrameCodec<Family> (CRTP)
+// derives every framing verb from what the family writes:
+//   * kWireMagic / kWireVersion -- the header the frame must carry;
+//   * void SerializeTo(ByteWriter&) const;
+//   * static std::optional<FrameView> ReadView(ByteReader&) -- the ONLY
+//     parser: reads and validates one body, header to last entry (a
+//     nested BottomK or length-prefixed body through the inner family's
+//     ReadView), and consumes exactly its bytes. Allocation-free unless
+//     the frame's shape needs a small index (MSS1, MOB1);
+//   * static Family FromView(const FrameView&) -- materializes a view
+//     ReadView accepted (it cannot fail);
+//   * bool MergeCompatible(const FrameView&) const -- whether a valid
+//     frame may merge into this instance (hash salt, window, budget,
+//     delta^2, objective or dimension counts);
+//   * void MergeValidatedViews(std::span<const FrameView>) -- applies a
+//     non-empty span of compatible views, observationally the pairwise
+//     Deserialize + Merge chain in span order.
+// The eager Deserialize is ReadView followed by FromView, so the eager
+// and the zero-copy parsers accept the same frames by construction.
+template <typename Family>
+class FrameCodec : public WholeFrame<Family> {
+ public:
+  using WholeFrame<Family>::Deserialize;
+
+  static std::optional<Family> Deserialize(ByteReader& r) {
+    const auto view = Family::ReadView(r);
+    if (!view) return std::nullopt;
+    return Family::FromView(*view);
   }
-  return std::nullopt;
-}
+
+  // Zero-copy view over a whole frame (SerializeToString layout): the
+  // checksum, then everything ReadView validates, then no trailing
+  // bytes. The view borrows the frame's storage and must not outlive
+  // it. Returns std::optional<Family::FrameView>.
+  static auto DeserializeView(std::string_view frame) {
+    const auto body = CheckedFrameBody(frame);
+    ByteReader r(body.value_or(std::string_view()));
+    auto view = Family::ReadView(r);  // an empty body has no header
+    if (!body || !r.AtEnd()) view.reset();
+    return view;
+  }
+
+  // Typed rejection reason: the structural cause first (kTruncated /
+  // kBadMagic / kBadVersion / checksum -> kCorruptBody), kCorruptBody for
+  // a field or entry the view rejects, kNone iff the frame parses.
+  // Transports count rejections per cause with it.
+  static FrameFault DiagnoseFrame(std::string_view frame) {
+    const FrameFault f =
+        ClassifyFrameBytes(frame, Family::kWireMagic, Family::kWireVersion);
+    if (f != FrameFault::kNone) return f;
+    return DeserializeView(frame) ? FrameFault::kNone
+                                  : FrameFault::kCorruptBody;
+  }
+
+  // K-way merge straight off the wire: observationally identical to
+  // deserializing every frame and merging the results with Merge() in
+  // span order, without materializing a sketch per frame. Returns false
+  // -- this instance observably unchanged -- if ANY frame fails
+  // validation or is not MergeCompatible; every frame is vetted before
+  // the first is applied (a mismatch the Merge path would ATS_CHECK-abort
+  // on is a validation failure here). An empty span is a strict no-op.
+  bool MergeManyFrames(std::span<const std::string_view> frames) {
+    Family& self = static_cast<Family&>(*this);
+    std::vector<typename Family::FrameView> views;
+    views.reserve(frames.size());
+    for (std::string_view f : frames) {
+      auto view = DeserializeView(f);
+      if (!view || !self.MergeCompatible(*view)) return false;
+      views.push_back(std::move(*view));
+    }
+    if (views.empty()) return true;
+    self.MergeValidatedViews(
+        std::span<const typename Family::FrameView>(views));
+    return true;
+  }
+};
 
 }  // namespace ats
 

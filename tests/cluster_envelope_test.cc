@@ -202,10 +202,31 @@ TEST(Aggregator, PoisonPayloadIsAckedCountedNeverMerged) {
       EncodeEnvelope(EnvelopeKind::kData, 0, 0, /*seq=*/1, /*epoch=*/6,
                      frame));
   EXPECT_EQ(outcome.kind, ReceiveOutcome::Kind::kPayloadRejected);
+  EXPECT_EQ(outcome.fault, FrameFault::kCorruptBody);
   EXPECT_TRUE(outcome.send_ack);
   EXPECT_EQ(root.rejects().payload_rejected, 1u);
   EXPECT_EQ(root.SnapshotFrame(), before);
   EXPECT_EQ(root.AppliedEpoch(0), 3u);  // epoch did not advance
+}
+
+TEST(Aggregator, ForeignSaltPayloadIsRejectedAsCorruptBody) {
+  AggregatorNode root(100, 64, /*salt=*/7, RetryPolicy{});
+  root.Receive(EncodeEnvelope(EnvelopeKind::kData, 0, 0, 0, 3,
+                              SketchFrame({1, 2, 3})));
+  const std::string before = root.SnapshotFrame();
+
+  // A well-formed frame under another hash salt parses, but it cannot
+  // merge: no retry fixes it, so it must never be reported as kNone.
+  const std::string foreign = SketchFrame({4, 5, 6}, 64, /*salt=*/8);
+  ASSERT_EQ(KmvSketch::DiagnoseFrame(foreign), FrameFault::kNone);
+  const auto outcome = root.Receive(EncodeEnvelope(
+      EnvelopeKind::kData, 0, 0, /*seq=*/1, /*epoch=*/6, foreign));
+  EXPECT_EQ(outcome.kind, ReceiveOutcome::Kind::kPayloadRejected);
+  EXPECT_EQ(outcome.fault, FrameFault::kCorruptBody);
+  EXPECT_TRUE(outcome.send_ack);
+  EXPECT_EQ(root.rejects().payload_rejected, 1u);
+  EXPECT_EQ(root.SnapshotFrame(), before);
+  EXPECT_EQ(root.AppliedEpoch(0), 3u);
 }
 
 TEST(Agent, CrashLosesVolatileStateAndReplayRebuildsBitIdentically) {

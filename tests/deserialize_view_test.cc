@@ -1,5 +1,6 @@
 // Hostile-input tests for the zero-copy frame views (BottomK::
-// DeserializeView, KmvSketch::DeserializeView) and the MergeManyFrames
+// DeserializeView, KmvSketch::DeserializeView, MultiStratifiedSampler's
+// entry-stride bound) and the MergeManyFrames
 // aggregation built on them: truncated frames, corrupted bytes,
 // oversized/overlapping entry regions, huge declared capacities, and
 // invalid entries must all fail cleanly -- nullopt / false with the
@@ -16,6 +17,7 @@
 
 #include "ats/core/bottom_k.h"
 #include "ats/core/random.h"
+#include "ats/samplers/multi_stratified.h"
 #include "ats/sketch/kmv.h"
 
 namespace ats {
@@ -240,22 +242,26 @@ TEST(KmvDeserializeView, EveryTruncationFailsCleanly) {
 }
 
 TEST(KmvDeserializeView, NonAscendingEntriesAreRejected) {
-  // The view accepts only the canonical (ascending) encoding -- this is
-  // also what rejects duplicate priorities without a hash set.
+  // Every KMV2 reader accepts only the canonical (ascending) encoding --
+  // this is also what rejects duplicate priorities without a hash set.
   const std::string frame = SampleKmvFrame(8, 300);
   const auto view = KmvSketch::DeserializeView(frame);
   ASSERT_TRUE(view.has_value());
   ASSERT_GE(view->size(), 2u);
+  const auto expect_rejected_everywhere = [](const std::string& bad) {
+    EXPECT_FALSE(KmvSketch::DeserializeView(bad).has_value());
+    EXPECT_FALSE(KmvSketch::Deserialize(std::string_view(bad)).has_value());
+    EXPECT_EQ(KmvSketch::DiagnoseFrame(bad), FrameFault::kCorruptBody);
+  };
   // Swap the first two priorities: still below threshold, now descending.
   const double p0 = view->priority(0);
   const double p1 = view->priority(1);
   std::string swapped = PatchAndRechecksum(frame, kKmvEntriesOffset, &p1, 8);
   swapped = PatchAndRechecksum(swapped, kKmvEntriesOffset + 16, &p0, 8);
-  EXPECT_FALSE(KmvSketch::DeserializeView(swapped).has_value());
+  expect_rejected_everywhere(swapped);
   // Duplicate: copy the first priority over the second.
-  EXPECT_FALSE(KmvSketch::DeserializeView(
-                   PatchAndRechecksum(frame, kKmvEntriesOffset + 16, &p0, 8))
-                   .has_value());
+  expect_rejected_everywhere(
+      PatchAndRechecksum(frame, kKmvEntriesOffset + 16, &p0, 8));
 }
 
 TEST(KmvDeserializeView, FieldRangeViolationsAreRejected) {
@@ -320,6 +326,30 @@ TEST(KmvMergeManyFrames, EmptyFrameListIsANoOpSuccess) {
   const auto members_before = acc.members();
   EXPECT_TRUE(acc.MergeManyFrames({}));
   EXPECT_EQ(acc.members(), members_before);
+}
+
+TEST(MultiStratifiedDeserializeView, WrappingDimensionCountIsRejected) {
+  // An item entry holds 1 + num_dimensions stratum keys. A count of
+  // 2^64 - 1 wraps that stride to two words, and reading a stratum key
+  // would then run past the item region -- and past the frame.
+  ByteWriter w;
+  WriteSketchHeader(w, MultiStratifiedSampler::kWireMagic,
+                    MultiStratifiedSampler::kWireVersion);
+  w.WriteU64(std::numeric_limits<uint64_t>::max());  // num_dimensions
+  w.WriteU64(4);                                      // k
+  WriteRngState(w, {1, 2, 3, 4});
+  w.WriteU64(0);       // num_strata
+  w.WriteU64(1);       // num_items
+  w.WriteU64(1);       // key
+  w.WriteDouble(1.0);  // value; nothing follows
+  w.WriteU32(FrameChecksum(w.bytes()));
+  // An exactly sized copy, so a sanitizer sees any read past the end.
+  const std::vector<char> frame(w.bytes().begin(), w.bytes().end());
+  const std::string_view bytes(frame.data(), frame.size());
+  EXPECT_FALSE(MultiStratifiedSampler::DeserializeView(bytes).has_value());
+  EXPECT_FALSE(MultiStratifiedSampler::Deserialize(bytes).has_value());
+  EXPECT_EQ(MultiStratifiedSampler::DiagnoseFrame(bytes),
+            FrameFault::kCorruptBody);
 }
 
 }  // namespace

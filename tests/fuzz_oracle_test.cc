@@ -5,9 +5,13 @@
 // adversarial weight sequences, hostile wire bytes against randomized
 // sampler states across every frame family).
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -288,21 +292,28 @@ BudgetSampler RandomBudgetSampler(uint64_t seed) {
 }
 
 // One registered frame kind: how to build a randomized valid frame and
-// how to run each parse path. `check_merge_fail_closed` feeds a good
-// and a corrupted frame through MergeManyFrames and asserts the target
-// stays byte-identical (all-or-nothing).
+// how to run each parse path. `entry_stride` is the stride of the
+// fixed-stride entry region that ends every frame of the kind (the
+// mutation sweep swaps and copies entries counted from the frame's end).
+// `check_merge_fail_closed` feeds a good and a corrupted frame through
+// MergeManyFrames and asserts the target stays byte-identical
+// (all-or-nothing).
 struct FrameKindEntry {
   const char* name;
+  size_t entry_stride;
   std::function<std::string(uint64_t)> make_frame;
   std::function<bool(std::string_view)> parse_eager;
   std::function<bool(std::string_view)> parse_view;
+  std::function<FrameFault(std::string_view)> diagnose;
   std::function<void(uint64_t, const std::string&)> check_merge_fail_closed;
 };
 
 template <typename Sketch, typename MakeSampler>
-FrameKindEntry RegisterFrameKind(const char* name, MakeSampler make) {
+FrameKindEntry RegisterFrameKind(const char* name, size_t entry_stride,
+                                 MakeSampler make) {
   FrameKindEntry entry;
   entry.name = name;
+  entry.entry_stride = entry_stride;
   entry.make_frame = [make](uint64_t seed) {
     return make(seed).SerializeToString();
   };
@@ -311,6 +322,9 @@ FrameKindEntry RegisterFrameKind(const char* name, MakeSampler make) {
   };
   entry.parse_view = [](std::string_view bytes) {
     return Sketch::DeserializeView(bytes).has_value();
+  };
+  entry.diagnose = [](std::string_view bytes) {
+    return Sketch::DiagnoseFrame(bytes);
   };
   entry.check_merge_fail_closed = [make](uint64_t seed,
                                          const std::string& good) {
@@ -331,52 +345,171 @@ FrameKindEntry RegisterFrameKind(const char* name, MakeSampler make) {
 // MergeManyFrames fan-in are always merge-compatible.
 std::vector<FrameKindEntry> FrameKindRegistry() {
   return {
-      RegisterFrameKind<KmvSketch>("KMV2", RandomKmvSketch),
-      RegisterFrameKind<BottomK<uint64_t>>("BTK2", RandomBottomK),
-      RegisterFrameKind<PrioritySampler>("PSM2", RandomPrioritySampler),
-      RegisterFrameKind<SlidingWindowSampler>("SWN1", RandomWindowSampler),
-      RegisterFrameKind<TimeDecaySampler>("TDK1", RandomDecaySampler),
-      RegisterFrameKind<MultiStratifiedSampler>("MSS1",
+      RegisterFrameKind<KmvSketch>("KMV2", 16, RandomKmvSketch),
+      RegisterFrameKind<BottomK<uint64_t>>("BTK2", 16, RandomBottomK),
+      RegisterFrameKind<PrioritySampler>("PSM2", 24, RandomPrioritySampler),
+      RegisterFrameKind<SlidingWindowSampler>("SWN1", 32,
+                                              RandomWindowSampler),
+      RegisterFrameKind<TimeDecaySampler>("TDK1", 40, RandomDecaySampler),
+      // Two dimensions: key, value, priority and two stratum keys.
+      RegisterFrameKind<MultiStratifiedSampler>("MSS1", 40,
                                                 RandomStratifiedSampler),
-      RegisterFrameKind<VarianceSizedSampler>("VSZ1",
+      RegisterFrameKind<VarianceSizedSampler>("VSZ1", 32,
                                               RandomVarianceSampler),
-      RegisterFrameKind<MultiObjectiveSampler>("MOB1",
+      RegisterFrameKind<MultiObjectiveSampler>("MOB1", 32,
                                                RandomObjectiveSampler),
-      RegisterFrameKind<BudgetSampler>("BGT1", RandomBudgetSampler),
+      RegisterFrameKind<BudgetSampler>("BGT1", 40, RandomBudgetSampler),
   };
 }
 
 // Every strict prefix and every single-bit flip of `frame` must be
-// rejected by both `parse_eager` and `parse_view` (the FNV-1a frame
-// checksum chain is bijective per byte, so ANY one-byte change alters
-// it); the intact frame must parse through both.
-template <typename ParseEager, typename ParseView>
+// rejected by the eager parser, the view parser and DiagnoseFrame (the
+// frame checksum catches ANY one-byte change); the intact frame must
+// parse through all three.
 void ExpectHostileBytesFailCleanly(const std::string& frame,
-                                   ParseEager&& parse_eager,
-                                   ParseView&& parse_view) {
+                                   const FrameKindEntry& entry) {
   for (size_t len = 0; len < frame.size(); ++len) {
     const std::string_view prefix(frame.data(), len);
-    EXPECT_FALSE(parse_eager(prefix)) << "prefix length " << len;
-    EXPECT_FALSE(parse_view(prefix)) << "prefix length " << len;
+    EXPECT_FALSE(entry.parse_eager(prefix)) << "prefix length " << len;
+    EXPECT_FALSE(entry.parse_view(prefix)) << "prefix length " << len;
+    EXPECT_NE(entry.diagnose(prefix), FrameFault::kNone)
+        << "prefix length " << len;
   }
   for (size_t pos = 0; pos < frame.size(); ++pos) {
     std::string bad = frame;
     bad[pos] = static_cast<char>(bad[pos] ^ (1 << (pos % 8)));
-    EXPECT_FALSE(parse_eager(bad)) << "flipped bit in byte " << pos;
-    EXPECT_FALSE(parse_view(bad)) << "flipped bit in byte " << pos;
+    EXPECT_FALSE(entry.parse_eager(bad)) << "flipped bit in byte " << pos;
+    EXPECT_FALSE(entry.parse_view(bad)) << "flipped bit in byte " << pos;
+    EXPECT_NE(entry.diagnose(bad), FrameFault::kNone)
+        << "flipped bit in byte " << pos;
   }
-  EXPECT_TRUE(parse_eager(frame));
-  EXPECT_TRUE(parse_view(frame));
+  EXPECT_TRUE(entry.parse_eager(frame));
+  EXPECT_TRUE(entry.parse_view(frame));
+  EXPECT_EQ(entry.diagnose(frame), FrameFault::kNone);
 }
 
 TEST_P(FuzzSweep, RegisteredFrameKindsHostileBytesFailCleanly) {
   for (const FrameKindEntry& entry : FrameKindRegistry()) {
     SCOPED_TRACE(entry.name);
     const std::string frame = entry.make_frame(GetParam() * 37 + 11);
-    ExpectHostileBytesFailCleanly(frame, entry.parse_eager,
-                                  entry.parse_view);
+    ExpectHostileBytesFailCleanly(frame, entry);
     entry.check_merge_fail_closed(GetParam() * 41 + 3, frame);
   }
+}
+
+// --- Mutational parity sweep ------------------------------------------
+//
+// The hostile-byte sweep above stops at the checksum. Here every mutant
+// is re-checksummed, so it reaches body validation: two fixed-stride
+// entries swapped, an entry copied over its neighbour, a 4-byte-aligned
+// 8-byte word patched with a boundary value (0, -0.0, 1, NaN, +-inf,
+// UINT64_MAX, the word +-1 -- which is count +- 1 when it lands on a
+// count), or two frames of one kind spliced at a random cut. Whatever a
+// mutant is, the three parse paths must agree: eager Deserialize accepts
+// it iff DeserializeView does iff DiagnoseFrame reports kNone. Seeds are
+// the registry's randomized frames and the golden v2 corpus.
+
+std::string GoldenFrame(const char* name) {
+  const std::string path = std::string(ATS_GOLDEN_DIR) + "/v2/" + name +
+                           ".bin";
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Replaces the trailing checksum with the one the mutated bytes carry.
+std::string Rechecksum(std::string frame) {
+  frame.resize(frame.size() - sizeof(uint32_t));
+  const uint32_t sum = FrameChecksum(frame);
+  frame.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  return frame;
+}
+
+// One re-checksummed mutant of `frame`; `partner` is another frame of
+// the same kind for splicing. Entry slots are counted back from the end
+// of the body, where every registered kind keeps its entry region.
+std::string Mutate(const std::string& frame, const std::string& partner,
+                   size_t stride, Xoshiro256& rng) {
+  std::string out = frame;
+  const size_t body = frame.size() - sizeof(uint32_t);
+  const size_t slots = body / stride;
+  const auto slot = [&](size_t j) {
+    return out.begin() + static_cast<std::ptrdiff_t>(body - (j + 1) * stride);
+  };
+  switch (rng.NextBelow(4)) {
+    case 0: {  // swap two entries
+      const size_t a = rng.NextBelow(slots);
+      const size_t b = rng.NextBelow(slots);
+      if (a != b) std::swap_ranges(slot(a), slot(a) + stride, slot(b));
+      break;
+    }
+    case 1: {  // copy an entry over its neighbour (either direction)
+      if (slots < 2) break;
+      const size_t a = rng.NextBelow(slots - 1);
+      const bool down = rng.NextBelow(2) == 0;
+      const std::string entry(down ? slot(a + 1) : slot(a),
+                              (down ? slot(a + 1) : slot(a)) + stride);
+      std::copy(entry.begin(), entry.end(), down ? slot(a) : slot(a + 1));
+      break;
+    }
+    case 2: {  // patch one word with a boundary value
+      const size_t pos = 4 * rng.NextBelow((body - 8) / 4 + 1);
+      uint64_t word;
+      std::memcpy(&word, out.data() + pos, sizeof(word));
+      const double kDoubles[] = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+      const size_t pick = rng.NextBelow(std::size(kDoubles) + 3);
+      if (pick < std::size(kDoubles)) {
+        word = std::bit_cast<uint64_t>(kDoubles[pick]);
+      } else {
+        const uint64_t kWords[] = {std::numeric_limits<uint64_t>::max(),
+                                   word + 1, word - 1};
+        word = kWords[pick - std::size(kDoubles)];
+      }
+      std::memcpy(out.data() + pos, &word, sizeof(word));
+      break;
+    }
+    default: {  // splice: this frame's head, the partner's tail
+      const size_t partner_body = partner.size() - sizeof(uint32_t);
+      const size_t cut = rng.NextBelow(std::min(body, partner_body) + 1);
+      out = frame.substr(0, cut) + partner.substr(cut);
+      break;
+    }
+  }
+  return Rechecksum(std::move(out));
+}
+
+TEST_P(FuzzSweep, MutantsGetOneVerdictFromEveryParsePath) {
+  Xoshiro256 rng(GetParam() * 89 + 23);
+  constexpr int kMutantsPerFrame = 128;
+  size_t accepted = 0, rejected = 0;
+  for (const FrameKindEntry& entry : FrameKindRegistry()) {
+    SCOPED_TRACE(entry.name);
+    const std::string partner = entry.make_frame(GetParam() * 67 + 5);
+    for (const std::string& frame :
+         {entry.make_frame(GetParam() * 61 + 17), GoldenFrame(entry.name)}) {
+      ASSERT_TRUE(entry.parse_view(frame));
+      for (int i = 0; i < kMutantsPerFrame; ++i) {
+        const std::string mutant =
+            Mutate(frame, partner, entry.entry_stride, rng);
+        const bool eager = entry.parse_eager(mutant);
+        const bool view = entry.parse_view(mutant);
+        const FrameFault fault = entry.diagnose(mutant);
+        ASSERT_EQ(eager, view) << "mutant " << i;
+        ASSERT_EQ(view, fault == FrameFault::kNone) << "mutant " << i;
+        (view ? accepted : rejected) += 1;
+      }
+    }
+  }
+  // Both verdicts occur, so the sweep reaches body validation and is
+  // not just failing every mutant at one gate.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST_P(FuzzSweep, RegisteredFrameKindsRejectTruncatedMergeTails) {
