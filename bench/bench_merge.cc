@@ -1,7 +1,8 @@
-// Query-side aggregation benchmarks (google-benchmark): the
-// threshold-pruned k-way merge engine vs. the sequential pairwise-Merge
-// baseline, over store inputs and serialized frames, plus the sharded
-// front-end's cached queries.
+// Query-side aggregation benchmarks (google-benchmark): one k-way call
+// of the store's merge gather (SampleStore::MergeGather) vs. a chain of
+// S pairwise Merge calls, each a one-input call of the same gather, over
+// store inputs and serialized frames, plus the sharded front-end's cached
+// queries.
 //
 //   ./build/bench/bench_merge
 //   ./build/bench/bench_merge --json=BENCH_merge.json
@@ -9,8 +10,9 @@
 // The headline comparisons (S = fan-in, k = capacity; items/s counts the
 // S*k candidate entries an aggregation consumes):
 //   * BM_MergePairwise/S/k vs BM_MergeMany/S/k -- S sequential
-//     merge+compaction rounds vs one global-bound, block-prefiltered
-//     selection. The ISSUE 3 acceptance bar: MergeMany >= 3x at S=64.
+//     merge+compaction rounds (each bounded only by the accumulator's
+//     and one input's threshold) vs one global-bound, block-prefiltered
+//     selection. The bar: MergeMany >= 3x at S=64.
 //   * BM_MergeFramesPairwise/S/k vs BM_MergeManyFrames/S/k -- the wire
 //     fan-in: eager Deserialize+Merge per frame (materializes every
 //     sketch) vs zero-copy frame views pruned at the global threshold.

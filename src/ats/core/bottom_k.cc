@@ -46,20 +46,6 @@ std::vector<SampleEntry> MakeWeightedSample(
   return out;
 }
 
-void PrioritySampler::Merge(const PrioritySampler& other) {
-  sketch_.Merge(other.sketch_);
-}
-
-void PrioritySampler::MergeMany(
-    std::span<const PrioritySampler* const> others) {
-  std::vector<const BottomK<Item>*> inputs;
-  inputs.reserve(others.size());
-  for (const PrioritySampler* other : others) {
-    inputs.push_back(&other->sketch_);
-  }
-  sketch_.MergeMany(inputs);  // skips the sketch aliasing `this`
-}
-
 void PrioritySampler::SerializeTo(ByteWriter& w) const {
   WriteSketchHeader(w, kWireMagic, kWireVersion);
   w.WriteU32(coordinated_ ? 1 : 0);
@@ -79,19 +65,14 @@ std::optional<PrioritySampler::FrameView> PrioritySampler::ReadView(
   FrameView view;
   view.coordinated_ = *coordinated != 0;
   view.rng_state_ = *rng_state;
-  view.sample_ = *sample;
+  static_cast<BottomK<Item>::FrameView&>(view) = *sample;
   return view;
 }
 
 PrioritySampler PrioritySampler::FromView(const FrameView& view) {
-  PrioritySampler sampler(BottomK<Item>::FromView(view.sample_),
-                          view.coordinated());
+  PrioritySampler sampler(BottomK<Item>::FromView(view), view.coordinated());
   sampler.rng_.SetState(view.rng_state_);
   return sampler;
-}
-
-void PrioritySampler::MergeValidatedViews(std::span<const FrameView> views) {
-  sketch_.MergeValidatedViews(views, &FrameView::sample_);
 }
 
 }  // namespace ats

@@ -59,6 +59,47 @@ struct PayloadCodec<uint64_t> {
   static bool Valid(uint64_t) { return true; }
 };
 
+// The entry region of a bottom-k frame (BTK2, KMV2): fixed-stride
+// (priority, payload) pairs over the frame's bytes, decoded lazily per
+// access -- the shape SampleStore::MergeGather reads. Frame views derive
+// from it; it borrows the frame's storage.
+template <typename Payload>
+class FrameEntries {
+ public:
+  static constexpr size_t kStride =
+      sizeof(double) + PayloadCodec<Payload>::kWireSize;
+
+  size_t size() const { return bytes_.size() / kStride; }
+
+  double priority(size_t i) const {
+    ATS_DCHECK(i < size());
+    double p;
+    std::memcpy(&p, bytes_.data() + i * kStride, sizeof(p));
+    return p;
+  }
+
+  Payload payload(size_t i) const {
+    ATS_DCHECK(i < size());
+    return PayloadCodec<Payload>::Decode(bytes_.data() + i * kStride +
+                                         sizeof(double));
+  }
+
+ protected:
+  // Takes the next `count` entries from `r`. One size comparison
+  // bounds-checks all of them; the division keeps it overflow-free for
+  // hostile counts.
+  bool Take(ByteReader& r, uint64_t count) {
+    const std::string_view rest = r.Rest();
+    if (count > rest.size() / kStride) return false;
+    bytes_ = rest.substr(0, count * kStride);
+    r.Skip(bytes_.size());
+    return true;
+  }
+
+ private:
+  std::string_view bytes_;
+};
+
 // Generic bottom-k container over (priority, payload) pairs, backed by the
 // shared SampleStore.
 //
@@ -139,20 +180,28 @@ class BottomK : public FrameCodec<BottomK<Payload>> {
   // Merges another bottom-k sketch over a disjoint stream: the result is
   // the bottom-k sketch of the concatenated streams. The threshold is the
   // min of both thresholds and of any priority evicted while merging.
-  // Merging a sketch with itself is a no-op (aliasing-safe).
+  // Merging a sketch with itself is a no-op (aliasing-safe). This is
+  // MergeMany of the one input (SampleStore::Merge).
   void Merge(const BottomK& other) { store_.Merge(other.store_); }
 
-  // Threshold-pruned k-way union: observationally identical to merging
-  // the inputs with Merge() in span order, but the global acceptance
-  // bound (min of all input thresholds) is taken first and each input is
-  // block-prefiltered against it, finishing in a single selection
-  // instead of S sequential merge+compaction rounds (see
-  // SampleStore::MergeMany). Inputs aliasing `this` are skipped.
+  // Threshold-pruned k-way union through the store's one merge gather
+  // (SampleStore::MergeGather): equal to merging the inputs with Merge()
+  // in span order, but the global acceptance bound (min of all input
+  // thresholds) is taken first and each input is block-prefiltered
+  // against it, finishing in a single selection instead of S sequential
+  // merge+compaction rounds. Inputs aliasing `this` are skipped.
   void MergeMany(std::span<const BottomK* const> others) {
-    std::vector<const SampleStore<Payload>*> stores;
-    stores.reserve(others.size());
-    for (const BottomK* o : others) stores.push_back(&o->store_);
-    store_.MergeMany(stores);  // skips the store aliasing `this`
+    store_.MergeMany(others, &BottomK::store_);
+  }
+
+  // MergeMany over inputs that `sketch` projects onto a BottomK (a
+  // sampler onto its sample), without building a pointer vector.
+  template <typename Input, typename Sketch>
+  void MergeMany(std::span<const Input> inputs, Sketch sketch) {
+    store_.MergeMany(
+        inputs, [&sketch](const Input& in) -> const SampleStore<Payload>& {
+          return std::invoke(sketch, in).store_;
+        });
   }
 
   // Removes retained entries with priority >= Threshold(). Needed after
@@ -204,36 +253,19 @@ class BottomK : public FrameCodec<BottomK<Payload>> {
   // of wire sketches without ever building the per-frame vectors a
   // Deserialize+Merge chain would (each frame's bytes are copied at most
   // once: accepted survivors into the accumulator). Container frames
-  // (PSM2, TDK1, MOB1) embed it for their sample regions.
+  // embed it for their sample regions (PSM2 and TDK1 views derive from
+  // it, MOB1 holds one per objective).
   //
   // The view borrows the frame's storage; it must not outlive the bytes.
-  class FrameView {
+  class FrameView : public FrameEntries<Payload> {
    public:
     size_t k() const { return static_cast<size_t>(k_); }
     double threshold() const { return threshold_; }
-    size_t size() const { return entries_.size() / kStride; }
-
-    double priority(size_t i) const {
-      ATS_DCHECK(i < size());
-      double p;
-      std::memcpy(&p, entries_.data() + i * kStride, sizeof(p));
-      return p;
-    }
-
-    Payload payload(size_t i) const {
-      ATS_DCHECK(i < size());
-      return PayloadCodec<Payload>::Decode(entries_.data() + i * kStride +
-                                           sizeof(double));
-    }
 
    private:
     friend class BottomK;
-    static constexpr size_t kStride =
-        sizeof(double) + PayloadCodec<Payload>::kWireSize;
-
     uint64_t k_ = 0;
     double threshold_ = kInfiniteThreshold;
-    std::string_view entries_;
   };
 
   // Reads one body -- header, fields, then the entry region -- into a
@@ -251,75 +283,38 @@ class BottomK : public FrameCodec<BottomK<Payload>> {
     // Priorities live on the whole real line (e.g. log-space keys in the
     // time-decay sampler), so only NaN thresholds are invalid here.
     if (*k < 1 || std::isnan(*threshold) || *count > *k) return std::nullopt;
-    // Fixed-stride entry region: one size comparison bounds-checks every
-    // entry; the division keeps it overflow-free for hostile counts.
-    const std::string_view rest = r.Rest();
-    if (*count > rest.size() / kEntryStride) return std::nullopt;
     FrameView view;
     view.k_ = *k;
     view.threshold_ = *threshold;
-    view.entries_ = rest.substr(0, *count * kEntryStride);
+    if (!view.Take(r, *count)) return std::nullopt;
     // One tight pass: every priority strictly below the threshold (NaN
     // fails) and every payload valid.
-    for (size_t at = 0; at < view.entries_.size(); at += kEntryStride) {
-      const char* entry = view.entries_.data() + at;
-      double p;
-      std::memcpy(&p, entry, sizeof(p));
-      if (!(p < *threshold)) return std::nullopt;
-      if (!PayloadCodec<Payload>::Valid(
-              PayloadCodec<Payload>::Decode(entry + sizeof(double)))) {
+    for (size_t i = 0; i < view.size(); ++i) {
+      if (!(view.priority(i) < *threshold) ||
+          !PayloadCodec<Payload>::Valid(view.payload(i))) {
         return std::nullopt;
       }
     }
-    r.Skip(view.entries_.size());
     return view;
   }
 
+  // A frame is a sample: materializing it is merging it into an empty
+  // sketch (count <= k entries below the threshold, all kept).
   static BottomK FromView(const FrameView& view) {
     BottomK sketch(view.k());
-    for (size_t i = 0; i < view.size(); ++i) {
-      sketch.Offer(view.priority(i), view.payload(i));
-    }
-    // count <= k entries below the threshold: the store keeps them all.
-    ATS_DCHECK(sketch.size() == view.size());
-    sketch.LowerThreshold(view.threshold());
+    sketch.MergeValidatedViews(std::span(&view, 1));
     return sketch;
   }
 
   bool MergeCompatible(const FrameView&) const { return true; }
 
-  // Applies validated views (global min bound first, block-prefiltered
-  // gather, closing purge). Container families pass their own views with
-  // a projection `sample` onto the embedded bottom-k view.
+  // Applies validated views through the store's merge gather. MOB1 passes
+  // its own views with a projection `sample` onto one objective's view.
   template <typename View, typename Sample = std::identity>
   void MergeValidatedViews(std::span<const View> views, Sample sample = {}) {
-    double bound = store_.Threshold();
-    for (const View& in : views) {
-      bound = std::min(bound, std::invoke(sample, in).threshold());
-    }
-    store_.LowerThreshold(bound);
-    alignas(64) double block[internal::kIngestBlock];
-    for (const View& in : views) {
-      const FrameView& v = std::invoke(sample, in);
-      const size_t n = v.size();
-      size_t i = 0;
-      for (; i + internal::kIngestBlock <= n;
-           i += internal::kIngestBlock) {
-        // Gather the block's priorities into a dense column, then reuse
-        // the batched-ingest pre-filter; only survivors decode payloads.
-        for (size_t j = 0; j < internal::kIngestBlock; ++j) {
-          block[j] = v.priority(i + j);
-        }
-        internal::VisitBlockCandidates(
-            block, store_.AcceptBound(),
-            [&](size_t j) { store_.Offer(block[j], v.payload(i + j)); });
-      }
-      for (; i < n; ++i) {
-        const double p = v.priority(i);
-        if (p < store_.AcceptBound()) store_.Offer(p, v.payload(i));
-      }
-    }
-    store_.PurgeAboveThreshold();
+    store_.MergeGather(views, sample, [this](double p, Payload payload) {
+      store_.Offer(p, std::move(payload));
+    });
   }
 
   static constexpr uint32_t kWireMagic = 0x42544b32;  // "BTK2"
@@ -329,7 +324,7 @@ class BottomK : public FrameCodec<BottomK<Payload>> {
   // Header, k, threshold, count.
   static constexpr size_t kPrefixSize =
       2 * sizeof(uint32_t) + 3 * sizeof(uint64_t);
-  static constexpr size_t kEntryStride = FrameView::kStride;
+  static constexpr size_t kEntryStride = FrameEntries<Payload>::kStride;
 
   SampleStore<Payload> store_;
 };
@@ -401,37 +396,32 @@ class PrioritySampler : public FrameCodec<PrioritySampler> {
   // Merges a sampler over a disjoint stream (same k recommended); the
   // merged sample is the bottom-k of the concatenated streams. Safe for
   // self-merge (no-op).
-  void Merge(const PrioritySampler& other);
+  void Merge(const PrioritySampler& other) { sketch_.Merge(other.sketch_); }
 
-  // Threshold-pruned k-way union: observationally identical to folding
-  // `others` with Merge() in span order (RNG state and coordination
-  // flags do not participate in a merge), but pruned by the global min
-  // threshold first (see SampleStore::MergeMany). Inputs aliasing
-  // `this` are skipped.
-  void MergeMany(std::span<const PrioritySampler* const> others);
+  // Threshold-pruned k-way union through the store's one merge gather
+  // (SampleStore::MergeGather): equal to folding `others` with Merge() in
+  // span order (RNG state and coordination flags do not participate in a
+  // merge). Inputs aliasing `this` are skipped.
+  void MergeMany(std::span<const PrioritySampler* const> others) {
+    sketch_.MergeMany(others, &PrioritySampler::sketch_);
+  }
 
   // Wire format (magic "PSM2"): header, coordination flag, the RNG state
   // (a restored independent sampler continues the exact same priority
   // stream), then the embedded bottom-k sample region.
   void SerializeTo(ByteWriter& w) const;
 
-  // Zero-copy read-only view over one frame body, the sample region
-  // exposed through the generic bottom-k frame view. Borrows the frame's
-  // storage; must not outlive it.
-  class FrameView {
+  // Zero-copy read-only view over one frame body: the embedded sample
+  // region's bottom-k frame view, plus the sampler's own fields. Borrows
+  // the frame's storage; must not outlive it.
+  class FrameView : public BottomK<Item>::FrameView {
    public:
     bool coordinated() const { return coordinated_; }
-    size_t k() const { return sample_.k(); }
-    double threshold() const { return sample_.threshold(); }
-    size_t size() const { return sample_.size(); }
-    double priority(size_t i) const { return sample_.priority(i); }
-    Item item(size_t i) const { return sample_.payload(i); }
 
    private:
     friend class PrioritySampler;
     bool coordinated_ = false;
     std::array<uint64_t, 4> rng_state_ = {};
-    BottomK<Item>::FrameView sample_;
   };
 
   // The frame hooks (util/serialize.h): RNG state and coordination flags
@@ -439,7 +429,9 @@ class PrioritySampler : public FrameCodec<PrioritySampler> {
   static std::optional<FrameView> ReadView(ByteReader& r);
   static PrioritySampler FromView(const FrameView& view);
   bool MergeCompatible(const FrameView&) const { return true; }
-  void MergeValidatedViews(std::span<const FrameView> views);
+  void MergeValidatedViews(std::span<const FrameView> views) {
+    sketch_.MergeValidatedViews(views);
+  }
 
   static constexpr uint32_t kWireMagic = 0x50534d32;  // "PSM2"
   static constexpr uint32_t kWireVersion = 2;

@@ -12,10 +12,7 @@ namespace internal {
 PriorityScenario::SnapshotType PriorityScenario::MergeShards(
     const Config& config, std::span<const Shard* const> shards) {
   BottomK<Item> merged(config.k);
-  std::vector<const BottomK<Item>*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(&shard->sketch());
-  merged.MergeMany(inputs);
+  merged.MergeMany(shards, &PrioritySampler::sketch);
   merged.store().Canonicalize();
   return merged;
 }
@@ -23,10 +20,7 @@ PriorityScenario::SnapshotType PriorityScenario::MergeShards(
 KmvScenario::SnapshotType KmvScenario::MergeShards(
     const Config& config, std::span<const Shard* const> shards) {
   KmvSketch merged(config.k, /*initial_threshold=*/1.0, config.hash_salt);
-  std::vector<const KmvSketch*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(shard);
-  merged.MergeMany(inputs);
+  merged.MergeMany(shards);
   merged.store().Canonicalize();
   return merged;
 }
@@ -34,20 +28,14 @@ KmvScenario::SnapshotType KmvScenario::MergeShards(
 WindowScenario::SnapshotType WindowScenario::MergeShards(
     const Config& config, std::span<const Shard* const> shards) {
   SlidingWindowSampler merged(config.k, config.window, /*seed=*/1);
-  std::vector<const SlidingWindowSampler*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(shard);
-  merged.MergeMany(inputs);
+  merged.MergeMany(shards);
   return merged;
 }
 
 DecayScenario::SnapshotType DecayScenario::MergeShards(
     const Config& config, std::span<const Shard* const> shards) {
   TimeDecaySampler merged(config.k, /*seed=*/1);
-  std::vector<const TimeDecaySampler*> inputs;
-  inputs.reserve(shards.size());
-  for (const Shard* shard : shards) inputs.push_back(shard);
-  merged.MergeMany(inputs);
+  merged.MergeMany(shards);
   // Canonicalize through the threshold accessor: TimeDecaySampler does
   // not expose its store mutably, and the threshold read compacts it.
   merged.LogKeyThreshold();

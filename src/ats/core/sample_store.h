@@ -61,7 +61,9 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -353,91 +355,120 @@ class SampleStore {
   }
 
   /// Merges another store over a disjoint stream: the result is the store
-  /// of the concatenated streams. The threshold is the min of both
-  /// thresholds and of any priority squeezed out while merging. Merging a
-  /// store with itself is a no-op (the union of a stream with itself).
-  //
-  /// This per-item pairwise path is the k-way engine's reference
-  /// semantics; aggregation fan-ins should use MergeMany instead.
-  /// Thread-safety: mutates `this` AND canonicalizes `other` -- neither
-  /// side may be touched concurrently.
+  /// of the concatenated streams. Exactly MergeMany of the one input, so
+  /// a chain of Merge calls runs the same gather as one k-way MergeMany;
+  /// merging a store with itself is a no-op (the union of a stream with
+  /// itself). Thread-safety: mutates `this` AND canonicalizes `other` --
+  /// neither side may be touched concurrently.
   void Merge(const SampleStore& other) {
-    if (&other == this) return;
-    ++mutation_epoch_;
-    initial_threshold_ =
-        std::min(initial_threshold_, other.initial_threshold_);
-    other.CompactToK();
-    LowerThreshold(other.threshold_);
-    for (size_t i = 0; i < other.priority_.size(); ++i) {
-      Accept(other.priority_[i], other.payload_[i]);
-    }
-    // Offers above may have lowered the threshold further; restore the
-    // invariant "retained iff priority < threshold".
-    PurgeAboveThreshold();
+    const SampleStore* one = &other;
+    MergeMany(std::span(&one, 1));
   }
 
-  /// Threshold-pruned k-way merge: observationally identical to merging
-  /// the inputs one by one with Merge() in span order (same retained
-  /// multiset, same threshold, same warm-up/tie behavior -- proven by the
-  /// randomized differential test in merge_many_test.cc), but it runs the
-  /// aggregation as ONE selection instead of S sequential merge+compaction
-  /// rounds:
+  /// K-way merge over disjoint streams: the store of the concatenated
+  /// streams, equal to merging the inputs one by one in span order (same
+  /// retained multiset, threshold, warm-up and tie behavior). Initial
+  /// thresholds are min-merged. Runs MergeGather with the plain append.
+  void MergeMany(std::span<const SampleStore* const> inputs) {
+    MergeMany(inputs, [](const SampleStore* s) -> const SampleStore& {
+      return *s;
+    });
+  }
+
+  /// MergeMany over any inputs that `project` maps to a store (a sampler
+  /// projected onto its sketch's store), so callers pass their own span
+  /// instead of building a pointer vector.
+  template <typename Input, typename Project>
+  void MergeMany(std::span<const Input> inputs, Project project) {
+    for (const Input& in : inputs) {
+      initial_threshold_ = std::min(
+          initial_threshold_, std::invoke(project, in).initial_threshold_);
+    }
+    MergeGather(inputs, project, [this](double priority, Payload payload) {
+      Accept(priority, std::move(payload));
+    });
+  }
+
+  /// THE bottom-k merge: every pairwise, k-way and off-the-wire merge of
+  /// a bottom-k family runs this one gather. `source` maps each input to
+  /// a store (read through its canonical columns) or to a frame view
+  /// exposing threshold(), size(), priority(i) and payload(i); a view
+  /// whose entries ascend may also expose PrefixBelow(t), the count of
+  /// leading entries below t, and is then never read past it. `accept`
+  /// (priority, payload) offers one candidate to this store: the plain
+  /// append, or KMV's duplicate-suppressing OfferPriority.
   //
-  ///   1. One pass over the inputs takes the global acceptance bound
+  ///   1. One pass takes the global acceptance bound
   ///      T0 = min(own threshold, all input thresholds) BEFORE any item
   ///      moves, so every input is filtered at the final bound from the
   ///      start -- in the S-shard fan-in a ~1/S fraction of each input
   ///      survives instead of everything from the early inputs.
-  ///   2. Each input's canonical priority column is then culled with the
-  ///      64-wide block pre-filter (the batched-ingest scan); survivors
-  ///      are appended through Offer, whose 2k-buffer compactions tighten
-  ///      the bound below T0 as squeezed-out priorities accumulate, so
-  ///      later inputs are pruned even harder.
+  ///   2. Each input is culled 64 entries at a time with the batched-
+  ///      ingest pre-filter; survivors go to `accept`, whose 2k-buffer
+  ///      compactions tighten the bound below T0 as squeezed-out
+  ///      priorities accumulate, so later inputs are pruned even harder.
   ///   3. A final purge restores "retained iff priority < threshold".
   //
-  /// Why this equals the sequential chain: the store's bound is monotone
+  /// Why this equals the pairwise chain: the store's bound is monotone
   /// non-increasing and both paths end at the same final threshold
   ///   T = min(T0, (k+1)-th smallest candidate priority below T0),
   /// because every candidate REJECTED along either path was >= the bound
   /// in force at that moment >= T, so rejections never disturb the
   /// (k+1)-th order statistic; and after the closing purge both paths
   /// retain exactly the candidates with priority < T (at most k of them,
-  /// since T is capped by the (k+1)-th smallest). Inputs aliasing `this`
-  /// are skipped, matching the pairwise self-merge no-op.
-  void MergeMany(std::span<const SampleStore* const> inputs) {
+  /// since T is capped by the (k+1)-th smallest), in arrival order.
+  /// Inputs aliasing `this` are skipped, like the pairwise self-merge.
+  template <typename Input, typename Source, typename AcceptFn>
+  void MergeGather(std::span<const Input> inputs, Source source,
+                   AcceptFn accept) {
+    // Pass 1: the global bound. Canonicalizing is representation-only,
+    // so it may run before the no-op check.
+    CompactToK();
+    double bound = threshold_;
+    bool any_input = false;
+    for (const Input& in : inputs) {
+      const auto& src = std::invoke(source, in);
+      if (static_cast<const void*>(&src) == this) continue;
+      any_input = true;
+      bound = std::min(bound, ReadAsInput(src).threshold());
+    }
     // No real inputs (empty span, or only aliases of `this`): strict
     // no-op, exactly like the zero-length pairwise chain. The closing
     // purge must not run here -- it would drop retained entries tied AT
     // the threshold, which only a merge is entitled to do.
-    bool any_input = false;
-    for (const SampleStore* in : inputs) any_input |= in != this;
     if (!any_input) return;
     ++mutation_epoch_;
-    CompactToK();
-    double bound = threshold_;
-    for (const SampleStore* in : inputs) {
-      if (in == this) continue;
-      in->CompactToK();
-      initial_threshold_ =
-          std::min(initial_threshold_, in->initial_threshold_);
-      bound = std::min(bound, in->threshold_);
-    }
     LowerThreshold(bound);
-    for (const SampleStore* in : inputs) {
-      if (in == this) continue;
-      const std::vector<double>& ps = in->priority_;
-      const std::vector<Payload>& pl = in->payload_;
-      size_t i = 0;
-      for (; i + internal::kIngestBlock <= ps.size();
-           i += internal::kIngestBlock) {
-        // Snapshot bound per block (it only decreases; Offer re-checks
-        // the live value), same argument as OfferBatch.
-        internal::VisitBlockCandidates(
-            ps.data() + i, threshold_,
-            [&](size_t j) { Accept(ps[i + j], pl[i + j]); });
+    alignas(64) double block[internal::kIngestBlock];
+    for (const Input& in : inputs) {
+      const auto& src = std::invoke(source, in);
+      if (static_cast<const void*>(&src) == this) continue;
+      const auto& s = ReadAsInput(src);
+      size_t n = s.size();
+      if constexpr (requires { s.PrefixBelow(0.0); }) {
+        n = s.PrefixBelow(threshold_);
       }
-      for (; i < ps.size(); ++i) {
-        if (ps[i] < threshold_) Accept(ps[i], pl[i]);
+      size_t i = 0;
+      for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
+        // A store's column is scanned in place; a frame's priorities are
+        // gathered into a dense block first, so only survivors decode
+        // payloads. The bound is snapshot per block (it only decreases;
+        // `accept` re-checks the live value), as in OfferBatch.
+        const double* ps = block;
+        if constexpr (std::same_as<std::remove_cvref_t<decltype(s)>,
+                                   Columns>) {
+          ps = s.priorities + i;
+        } else {
+          for (size_t j = 0; j < internal::kIngestBlock; ++j) {
+            block[j] = s.priority(i + j);
+          }
+        }
+        internal::VisitBlockCandidates(
+            ps, threshold_, [&](size_t j) { accept(ps[j], s.payload(i + j)); });
+      }
+      for (; i < n; ++i) {
+        const double p = s.priority(i);
+        if (p < threshold_) accept(p, s.payload(i));
       }
     }
     PurgeAboveThreshold();
@@ -472,6 +503,29 @@ class SampleStore {
     payload_.push_back(std::move(payload));
     if (priority_.size() >= capacity_) CompactToK();
     return true;
+  }
+
+  /// A store read as a merge input, through the frame-view shape: its
+  /// canonical columns, whose dense priority column MergeGather scans in
+  /// place.
+  struct Columns {
+    const double* priorities;
+    const Payload* payloads;
+    size_t count;
+    double bound;
+    double threshold() const { return bound; }
+    size_t size() const { return count; }
+    double priority(size_t i) const { return priorities[i]; }
+    const Payload& payload(size_t i) const { return payloads[i]; }
+  };
+  static Columns ReadAsInput(const SampleStore& s) {
+    s.CompactToK();
+    return {s.priority_.data(), s.payload_.data(), s.priority_.size(),
+            s.threshold_};
+  }
+  template <typename View>
+  static const View& ReadAsInput(const View& v) {
+    return v;
   }
 
   /// In-place stable filter over the parallel columns: keeps the entries

@@ -4,8 +4,9 @@
 //
 //   * prefilter_mask64 -- the 64-wide block pre-filter: one bit per item,
 //     set iff priority < bound. This is the compare scan behind
-//     SampleStore::OfferBatch, the MergeMany/MergeValidatedViews gather
-//     passes, and every sampler's block-prefiltered AddBatch.
+//     SampleStore::OfferBatch, the bottom-k merge gather
+//     (SampleStore::MergeGather), and every sampler's block-prefiltered
+//     AddBatch.
 //   * hash_priority_mask64 -- the fused hash -> priority -> pre-filter
 //     block: Mix64 key hashing, hash -> unit-interval conversion, and the
 //     threshold compare in one pass (VisitHashedCandidates; the batched

@@ -109,12 +109,12 @@ std::optional<TimeDecaySampler::FrameView> TimeDecaySampler::ReadView(
   if (!sample) return std::nullopt;
   FrameView view;
   view.rng_state_ = *rng_state;
-  view.sample_ = *sample;
+  static_cast<BottomK<Stored>::FrameView&>(view) = *sample;
   return view;
 }
 
 TimeDecaySampler TimeDecaySampler::FromView(const FrameView& view) {
-  TimeDecaySampler sampler(BottomK<Stored>::FromView(view.sample_));
+  TimeDecaySampler sampler(BottomK<Stored>::FromView(view));
   sampler.rng_.SetState(view.rng_state_);
   return sampler;
 }

@@ -142,21 +142,17 @@ class TimeDecaySampler : public FrameCodec<TimeDecaySampler> {
   double EstimateDecayedTotal(double now) const;
 
   /// Merges a sampler over a disjoint stream: the bottom-k union over the
-  /// decay-invariant keys. Self-merge is a no-op.
+  /// decay-invariant keys, run as MergeMany of the one input. Self-merge
+  /// is a no-op.
   void Merge(const TimeDecaySampler& other) {
     sketch_.Merge(other.sketch_);
   }
 
-  /// Threshold-pruned k-way merge: observationally identical to merging
-  /// the inputs with Merge() in span order (see SampleStore::MergeMany);
-  /// inputs aliasing `this` are skipped.
+  /// Threshold-pruned k-way merge through the store's one merge gather
+  /// (SampleStore::MergeGather): equal to merging the inputs with Merge()
+  /// in span order; inputs aliasing `this` are skipped.
   void MergeMany(std::span<const TimeDecaySampler* const> inputs) {
-    std::vector<const BottomK<Stored>*> sketches;
-    sketches.reserve(inputs.size());
-    for (const TimeDecaySampler* in : inputs) {
-      sketches.push_back(&in->sketch_);
-    }
-    sketch_.MergeMany(sketches);
+    sketch_.MergeMany(inputs, &TimeDecaySampler::sketch_);
   }
 
   // --- Versioned wire format (magic "TDK1") ---
@@ -168,21 +164,14 @@ class TimeDecaySampler : public FrameCodec<TimeDecaySampler> {
 
   void SerializeTo(ByteWriter& w) const;
 
-  /// Zero-copy read-only view over one frame body: the RNG state, then
-  /// the embedded sample region exposed through the generic bottom-k
-  /// frame view. Borrows the frame's storage; must not outlive it.
-  class FrameView {
-   public:
-    size_t k() const { return sample_.k(); }
-    double log_key_threshold() const { return sample_.threshold(); }
-    size_t size() const { return sample_.size(); }
-    double log_key(size_t i) const { return sample_.priority(i); }
-    Stored stored(size_t i) const { return sample_.payload(i); }
-
+  /// Zero-copy read-only view over one frame body: the embedded sample
+  /// region's bottom-k frame view (log-key priorities, Stored payloads),
+  /// plus the RNG state. Borrows the frame's storage; must not outlive
+  /// it.
+  class FrameView : public BottomK<Stored>::FrameView {
    private:
     friend class TimeDecaySampler;
     std::array<uint64_t, 4> rng_state_ = {};
-    BottomK<Stored>::FrameView sample_;
   };
 
   /// The frame hooks (util/serialize.h); every valid frame is
@@ -191,7 +180,7 @@ class TimeDecaySampler : public FrameCodec<TimeDecaySampler> {
   static TimeDecaySampler FromView(const FrameView& view);
   bool MergeCompatible(const FrameView&) const { return true; }
   void MergeValidatedViews(std::span<const FrameView> views) {
-    sketch_.MergeValidatedViews(views, &FrameView::sample_);
+    sketch_.MergeValidatedViews(views);
   }
 
   static constexpr uint32_t kWireMagic = 0x54444b31;  // "TDK1"

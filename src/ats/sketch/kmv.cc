@@ -1,14 +1,10 @@
 #include "ats/sketch/kmv.h"
 
 #include <algorithm>
-#include <cstring>
+#include <functional>
+#include <ranges>
 
 #include "ats/util/check.h"
-
-namespace {
-// Wire stride of one (priority, key) frame entry.
-constexpr size_t kKmvEntryStride = sizeof(double) + sizeof(uint64_t);
-}  // namespace
 
 namespace ats {
 
@@ -75,77 +71,25 @@ std::vector<std::pair<double, uint64_t>> KmvSketch::members() const {
 }
 
 void KmvSketch::Merge(const KmvSketch& other) {
-  if (&other == this) return;
-  ATS_CHECK(hash_salt_ == other.hash_salt_);
-  store_.LowerThreshold(other.Threshold());
-  // Per-item offers (not a raw store merge): coordinated hashing means the
-  // same key appears with the same priority in both sketches, and
-  // OfferPriority suppresses those duplicates.
-  const std::vector<double>& priorities = other.store_.priorities();
-  const std::vector<uint64_t>& keys = other.store_.payloads();
-  for (size_t i = 0; i < priorities.size(); ++i) {
-    OfferPriority(priorities[i], keys[i]);
-  }
-  store_.PurgeAboveThreshold();
+  const KmvSketch* one = &other;
+  MergeMany(std::span(&one, 1));
 }
 
 void KmvSketch::MergeMany(std::span<const KmvSketch* const> others) {
-  // No real inputs: strict no-op, like the zero-length pairwise chain
-  // (the closing purge must only run on behalf of an actual merge).
-  bool any_input = false;
-  for (const KmvSketch* o : others) any_input |= o != this;
-  if (!any_input) return;
-  // Pass 1: global acceptance bound. Threshold() canonicalizes each
-  // input, so pass 2 scans dense canonical columns.
-  double bound = store_.Threshold();
-  for (const KmvSketch* o : others) {
-    if (o == this) continue;
-    ATS_CHECK(hash_salt_ == o->hash_salt_);
-    bound = std::min(bound, o->Threshold());
-  }
-  store_.LowerThreshold(bound);
-  // Pass 2: block-prefiltered gather. Only survivors reach the per-item
-  // duplicate check (OfferPriority re-checks the live bound, which
-  // compactions tighten below the global min as evictions accumulate).
-  // Rejected members never touch the seen_ set or the key column --
-  // exactly the items a pairwise chain would admit early and purge
-  // later.
-  for (const KmvSketch* o : others) {
-    if (o == this) continue;
-    const std::vector<double>& ps = o->store_.priorities();
-    const std::vector<uint64_t>& keys = o->store_.payloads();
-    size_t i = 0;
-    for (; i + internal::kIngestBlock <= ps.size();
-         i += internal::kIngestBlock) {
-      internal::VisitBlockCandidates(
-          ps.data() + i, store_.AcceptBound(),
-          [&](size_t j) { OfferPriority(ps[i + j], keys[i + j]); });
-    }
-    for (; i < ps.size(); ++i) {
-      if (ps[i] < store_.AcceptBound()) OfferPriority(ps[i], keys[i]);
-    }
-  }
-  store_.PurgeAboveThreshold();
+  for (const KmvSketch* o : others) ATS_CHECK(hash_salt_ == o->hash_salt_);
+  // The store's one merge gather, accepting through the per-item
+  // duplicate check (coordinated hashing gives a key the same priority
+  // in every sketch). No initial-threshold merge: the receiver keeps
+  // its own.
+  store_.MergeGather(others, &KmvSketch::store_,
+                     [this](double p, uint64_t key) { OfferPriority(p, key); });
 }
 
-size_t KmvSketch::FrameView::size() const {
-  return entries_.size() / kKmvEntryStride;
-}
-
-double KmvSketch::FrameView::priority(size_t i) const {
-  ATS_DCHECK(i < size());
-  double p;
-  std::memcpy(&p, entries_.data() + i * kKmvEntryStride, sizeof(p));
-  return p;
-}
-
-uint64_t KmvSketch::FrameView::key(size_t i) const {
-  ATS_DCHECK(i < size());
-  uint64_t k;
-  std::memcpy(&k,
-              entries_.data() + i * kKmvEntryStride + sizeof(double),
-              sizeof(k));
-  return k;
+size_t KmvSketch::FrameView::PrefixBelow(double t) const {
+  const auto ids = std::views::iota(size_t{0}, size());
+  const auto below = [&](size_t i) { return priority(i) < t; };
+  return static_cast<size_t>(std::ranges::partition_point(ids, below) -
+                             ids.begin());
 }
 
 std::optional<KmvSketch::FrameView> KmvSketch::ReadView(ByteReader& r) {
@@ -162,16 +106,12 @@ std::optional<KmvSketch::FrameView> KmvSketch::ReadView(ByteReader& r) {
       !(*threshold > 0.0) || *threshold > *initial || *count > *k) {
     return std::nullopt;
   }
-  // Fixed-stride entry region: one size comparison bounds-checks every
-  // entry; the division keeps it overflow-free for hostile counts.
-  const std::string_view rest = r.Rest();
-  if (*count > rest.size() / kKmvEntryStride) return std::nullopt;
   FrameView view;
   view.k_ = *k;
   view.hash_salt_ = *salt;
   view.initial_threshold_ = *initial;
   view.threshold_ = *threshold;
-  view.entries_ = rest.substr(0, *count * kKmvEntryStride);
+  if (!view.Take(r, *count)) return std::nullopt;
   // Canonical encoding only: strictly ascending priorities inside
   // (0, threshold). Ascending order implies distinctness.
   double prev = 0.0;
@@ -180,56 +120,19 @@ std::optional<KmvSketch::FrameView> KmvSketch::ReadView(ByteReader& r) {
     if (!(p > prev) || p >= *threshold) return std::nullopt;
     prev = p;
   }
-  r.Skip(view.entries_.size());
   return view;
 }
 
 KmvSketch KmvSketch::FromView(const FrameView& view) {
+  // Materializing a frame is merging it into an empty sketch.
   KmvSketch sketch(view.k(), view.initial_threshold(), view.hash_salt());
-  for (size_t i = 0; i < view.size(); ++i) {
-    sketch.seen_.insert(std::bit_cast<uint64_t>(view.priority(i)));
-    sketch.store_.Offer(view.priority(i), view.key(i));
-  }
-  sketch.store_.LowerThreshold(view.threshold());
+  sketch.MergeValidatedViews(std::span(&view, 1));
   return sketch;
 }
 
 void KmvSketch::MergeValidatedViews(std::span<const FrameView> views) {
-  double bound = store_.Threshold();
-  for (const FrameView& v : views) bound = std::min(bound, v.threshold());
-  store_.LowerThreshold(bound);
-  alignas(64) double block[internal::kIngestBlock];
-  for (const FrameView& v : views) {
-    // Canonical frames are ascending, so the global bound cuts each
-    // frame to a PREFIX: binary-search it and never decode the tail.
-    size_t n = v.size();
-    {
-      size_t lo = 0, hi = n;
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (v.priority(mid) < bound) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      n = lo;
-    }
-    size_t i = 0;
-    for (; i + internal::kIngestBlock <= n; i += internal::kIngestBlock) {
-      for (size_t j = 0; j < internal::kIngestBlock; ++j) {
-        block[j] = v.priority(i + j);
-      }
-      internal::VisitBlockCandidates(
-          block, store_.AcceptBound(),
-          [&](size_t j) { OfferPriority(block[j], v.key(i + j)); });
-    }
-    for (; i < n; ++i) {
-      const double p = v.priority(i);
-      if (p < store_.AcceptBound()) OfferPriority(p, v.key(i));
-    }
-  }
-  store_.PurgeAboveThreshold();
+  store_.MergeGather(views, std::identity{},
+                     [this](double p, uint64_t key) { OfferPriority(p, key); });
 }
 
 void KmvSketch::SerializeTo(ByteWriter& w) const {

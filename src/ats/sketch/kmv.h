@@ -23,11 +23,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "ats/core/bottom_k.h"
 #include "ats/core/random.h"
 #include "ats/core/sample_store.h"
 #include "ats/core/threshold.h"
@@ -88,17 +88,16 @@ class KmvSketch : public FrameCodec<KmvSketch> {
   // Merges another KMV sketch over the SAME key universe hashing (same
   // salt): the result is the KMV sketch of the union of the streams, with
   // threshold min(theta_a, theta_b, merge evictions). This is the basic
-  // bottom-k union baseline of Figure 4. Self-merge is a no-op.
+  // bottom-k union baseline of Figure 4, run as MergeMany of the one
+  // input. Self-merge is a no-op.
   void Merge(const KmvSketch& other);
 
-  // Threshold-pruned k-way union: observationally identical to merging
-  // the inputs with Merge() in span order (same members, same theta --
-  // coordinated hashing makes duplicate suppression order-independent),
-  // but the global bound min(theta_this, theta_1, ..., theta_S) is taken
-  // before any member moves and each input's priority column is
-  // block-prefiltered against it, so the S-shard fan-in costs one
-  // selection instead of S merge+compaction rounds (see
-  // SampleStore::MergeMany). All inputs must share this sketch's hash
+  // Threshold-pruned k-way union through the store's one merge gather
+  // (SampleStore::MergeGather), accepting through the duplicate check:
+  // equal to merging the inputs with Merge() in span order (coordinated
+  // hashing makes duplicate suppression order-independent), at the cost
+  // of one selection instead of S merge+compaction rounds. The receiver
+  // keeps its initial threshold. All inputs must share this sketch's hash
   // salt; inputs aliasing `this` are skipped.
   void MergeMany(std::span<const KmvSketch* const> others);
 
@@ -109,15 +108,15 @@ class KmvSketch : public FrameCodec<KmvSketch> {
   // what rejects duplicate priorities without building a hash set, and
   // what lets a merge cut each frame to a prefix. Borrows the frame's
   // bytes.
-  class FrameView {
+  class FrameView : public FrameEntries<uint64_t> {  // payload = key
    public:
     size_t k() const { return static_cast<size_t>(k_); }
     uint64_t hash_salt() const { return hash_salt_; }
     double initial_threshold() const { return initial_threshold_; }
     double threshold() const { return threshold_; }
-    size_t size() const;
-    double priority(size_t i) const;
-    uint64_t key(size_t i) const;
+    // Entries below t: a prefix, since entries ascend. The merge gather
+    // reads no further.
+    size_t PrefixBelow(double t) const;
 
    private:
     friend class KmvSketch;
@@ -125,14 +124,14 @@ class KmvSketch : public FrameCodec<KmvSketch> {
     uint64_t hash_salt_ = 0;
     double initial_threshold_ = 1.0;
     double threshold_ = 1.0;
-    std::string_view entries_;
   };
 
   // The frame hooks (util/serialize.h). ReadView allocates nothing: a
   // hostile frame declaring a huge k cannot reserve memory there
   // (kMaxEagerReserve caps FromView's store). A frame is merge-compatible
-  // iff it carries this sketch's hash salt; MergeValidatedViews prunes
-  // at the global min theta before any entry is decoded.
+  // iff it carries this sketch's hash salt; MergeValidatedViews runs the
+  // store's merge gather, which prunes at the global min theta before any
+  // entry is decoded.
   static std::optional<FrameView> ReadView(ByteReader& r);
   static KmvSketch FromView(const FrameView& view);
   bool MergeCompatible(const FrameView& view) const {

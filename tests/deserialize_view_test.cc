@@ -226,7 +226,7 @@ TEST(KmvDeserializeView, RoundTripMatchesSketch) {
   const auto members = sketch->members();
   for (size_t i = 0; i < view->size(); ++i) {
     EXPECT_DOUBLE_EQ(view->priority(i), members[i].first);
-    EXPECT_EQ(view->key(i), members[i].second);
+    EXPECT_EQ(view->payload(i), members[i].second);
   }
 }
 

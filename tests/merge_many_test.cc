@@ -5,7 +5,12 @@
 // front-end's snapshot cache) must be observationally identical to the
 // sequential pairwise-Merge reference -- retained multiset, threshold,
 // ties, and warm-up exactly equal -- including k = 1, duplicate
-// priorities, and empty/degenerate shards.
+// priorities, and empty/degenerate shards. Pairwise Merge is itself the
+// one-input case of the same gather, so the keyed sweeps also check an
+// oracle that shares no merge code: one store or sketch fed the warm
+// prefix and every input's stream directly, then purged at its
+// threshold. Bottom-k samples of disjoint streams (or of coordinated
+// keys, for KMV) merge to exactly that single-stream sample.
 #include <algorithm>
 #include <cmath>
 #include <set>
@@ -52,23 +57,30 @@ TEST_P(MergeManySweep, StoreMergeManyEqualsSequentialPairwise) {
     const size_t num_inputs = 1 + rng.NextBelow(8);
     std::vector<SampleStore<uint64_t>> inputs(
         num_inputs, SampleStore<uint64_t>(k));
+    std::vector<std::pair<double, uint64_t>> streams;  // inputs, in order
     uint64_t id = 0;
     for (auto& in : inputs) {
       // Some shards stay empty, some underfull, some deeply saturated.
       const size_t n = rng.NextBelow(4) == 0 ? 0 : rng.NextBelow(12 * k + 1);
-      for (size_t i = 0; i < n; ++i) in.Offer(GenPriority(rng), id++);
+      for (size_t i = 0; i < n; ++i) {
+        streams.emplace_back(GenPriority(rng), id++);
+        in.Offer(streams.back().first, streams.back().second);
+      }
     }
     // The accumulator starts non-empty half the time (warm-up coverage).
-    SampleStore<uint64_t> seq(k), many(k);
+    SampleStore<uint64_t> seq(k), many(k), oracle(k);
     if (rng.NextBelow(2) == 0) {
       const size_t n = rng.NextBelow(3 * k + 1);
       for (size_t i = 0; i < n; ++i) {
         const double p = GenPriority(rng);
         seq.Offer(p, id);
         many.Offer(p, id);
+        oracle.Offer(p, id);
         ++id;
       }
     }
+    for (const auto& [p, payload] : streams) oracle.Offer(p, payload);
+    oracle.PurgeAboveThreshold();
     std::vector<const SampleStore<uint64_t>*> ptrs;
     for (const auto& in : inputs) ptrs.push_back(&in);
 
@@ -78,6 +90,9 @@ TEST_P(MergeManySweep, StoreMergeManyEqualsSequentialPairwise) {
     ASSERT_DOUBLE_EQ(many.Threshold(), seq.Threshold()) << "k=" << k;
     ASSERT_EQ(many.saturated(), seq.saturated());
     ASSERT_EQ(Snapshot(many), Snapshot(seq)) << "k=" << k;
+    ASSERT_EQ(many.Threshold(), oracle.Threshold()) << "k=" << k;
+    ASSERT_EQ(many.saturated(), oracle.saturated());
+    ASSERT_EQ(Snapshot(many), Snapshot(oracle)) << "k=" << k;
   }
 }
 
@@ -87,11 +102,18 @@ TEST_P(MergeManySweep, BottomKFramesEqualSequentialDeserializeMerge) {
     const size_t num_inputs = 1 + rng.NextBelow(7);
     std::vector<std::string> frames;
     std::vector<BottomK<uint64_t>> originals;
+    // Single-stream oracles with and without the warm prefix.
+    BottomK<uint64_t> oracle(k), oracle_cold(k);
+    std::vector<std::pair<double, uint64_t>> streams;  // inputs, in order
     uint64_t id = 0;
     for (size_t s = 0; s < num_inputs; ++s) {
       BottomK<uint64_t> in(k);
       const size_t n = rng.NextBelow(3) == 0 ? 0 : rng.NextBelow(8 * k + 1);
-      for (size_t i = 0; i < n; ++i) in.Offer(GenPriority(rng), id++);
+      for (size_t i = 0; i < n; ++i) {
+        streams.emplace_back(GenPriority(rng), id++);
+        in.Offer(streams.back().first, streams.back().second);
+        oracle_cold.Offer(streams.back().first, streams.back().second);
+      }
       frames.push_back(in.SerializeToString());
       originals.push_back(std::move(in));
     }
@@ -102,8 +124,12 @@ TEST_P(MergeManySweep, BottomKFramesEqualSequentialDeserializeMerge) {
       const double p = GenPriority(rng);
       seq.Offer(p, id);
       many.Offer(p, id);
+      oracle.Offer(p, id);
       ++id;
     }
+    for (const auto& [p, payload] : streams) oracle.Offer(p, payload);
+    oracle.PurgeAboveThreshold();
+    oracle_cold.PurgeAboveThreshold();
     for (const std::string& f : frames) {
       auto sketch = BottomK<uint64_t>::Deserialize(std::string_view(f));
       ASSERT_TRUE(sketch.has_value());
@@ -114,6 +140,8 @@ TEST_P(MergeManySweep, BottomKFramesEqualSequentialDeserializeMerge) {
 
     ASSERT_DOUBLE_EQ(many.Threshold(), seq.Threshold()) << "k=" << k;
     ASSERT_EQ(Snapshot(many.store()), Snapshot(seq.store()));
+    ASSERT_EQ(many.Threshold(), oracle.Threshold()) << "k=" << k;
+    ASSERT_EQ(Snapshot(many.store()), Snapshot(oracle.store()));
 
     // The store-pointer path must agree with the same pairwise chain.
     std::vector<const BottomK<uint64_t>*> ptrs;
@@ -124,6 +152,8 @@ TEST_P(MergeManySweep, BottomKFramesEqualSequentialDeserializeMerge) {
     for (const auto& o : originals) via_pairwise.Merge(o);
     ASSERT_DOUBLE_EQ(via_stores.Threshold(), via_pairwise.Threshold());
     ASSERT_EQ(Snapshot(via_stores.store()), Snapshot(via_pairwise.store()));
+    ASSERT_EQ(via_stores.Threshold(), oracle_cold.Threshold());
+    ASSERT_EQ(Snapshot(via_stores.store()), Snapshot(oracle_cold.store()));
   }
 }
 
@@ -133,11 +163,18 @@ TEST_P(MergeManySweep, KmvMergeManyEqualsSequentialPairwise) {
   for (size_t k : {1u, 4u, 32u}) {
     const size_t num_inputs = 1 + rng.NextBelow(7);
     std::vector<KmvSketch> inputs;
+    // Single-stream oracles with and without the warm prefix.
+    KmvSketch oracle(k, 1.0, salt), oracle_cold(k, 1.0, salt);
+    std::vector<uint64_t> streams;  // every input's keys, in order
     for (size_t s = 0; s < num_inputs; ++s) {
       KmvSketch in(k, 1.0, salt);
       // Overlapping key universes: duplicate suppression across inputs.
       const size_t n = rng.NextBelow(3) == 0 ? 0 : rng.NextBelow(600);
-      for (size_t i = 0; i < n; ++i) in.AddKey(rng.NextBelow(900));
+      for (size_t i = 0; i < n; ++i) {
+        streams.push_back(rng.NextBelow(900));
+        in.AddKey(streams.back());
+        oracle_cold.AddKey(streams.back());
+      }
       inputs.push_back(std::move(in));
     }
     KmvSketch seq(k, 1.0, salt), many(k, 1.0, salt);
@@ -146,7 +183,11 @@ TEST_P(MergeManySweep, KmvMergeManyEqualsSequentialPairwise) {
       const uint64_t key = rng.NextBelow(900);
       seq.AddKey(key);
       many.AddKey(key);
+      oracle.AddKey(key);
     }
+    // Distinct hash priorities never tie, so no entry sits AT a KMV
+    // threshold: the oracles need no purge.
+    for (const uint64_t key : streams) oracle.AddKey(key);
     std::vector<const KmvSketch*> ptrs;
     for (const auto& in : inputs) ptrs.push_back(&in);
     for (const auto* in : ptrs) seq.Merge(*in);
@@ -155,6 +196,8 @@ TEST_P(MergeManySweep, KmvMergeManyEqualsSequentialPairwise) {
     ASSERT_DOUBLE_EQ(many.Threshold(), seq.Threshold()) << "k=" << k;
     ASSERT_EQ(many.members(), seq.members()) << "k=" << k;
     ASSERT_DOUBLE_EQ(many.Estimate(), seq.Estimate());
+    ASSERT_EQ(many.Threshold(), oracle.Threshold()) << "k=" << k;
+    ASSERT_EQ(many.members(), oracle.members()) << "k=" << k;
 
     // And the wire path: frames of the same inputs into a fresh sketch.
     std::vector<std::string> frames;
@@ -170,6 +213,8 @@ TEST_P(MergeManySweep, KmvMergeManyEqualsSequentialPairwise) {
     }
     ASSERT_DOUBLE_EQ(off_wire.Threshold(), off_wire_seq.Threshold());
     ASSERT_EQ(off_wire.members(), off_wire_seq.members());
+    ASSERT_EQ(off_wire.Threshold(), oracle_cold.Threshold());
+    ASSERT_EQ(off_wire.members(), oracle_cold.members());
   }
 }
 
