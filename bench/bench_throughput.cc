@@ -12,6 +12,7 @@
 #include "ats/baselines/varopt.h"
 #include "ats/baselines/space_saving.h"
 #include "ats/core/bottom_k.h"
+#include "ats/core/sample_store.h"
 #include "ats/samplers/budget_sampler.h"
 #include "ats/samplers/sliding_window.h"
 #include "ats/samplers/time_decay.h"
@@ -60,7 +61,7 @@ BENCHMARK(BM_KmvAddKey)->Arg(256)->Arg(4096);
 // The long-running BM_*Add benchmarks above converge to the reject path
 // (accept rate ~ k/n); these replay a fixed stream from empty through
 // saturation into steady state each iteration, so the accept-path cost
-// (heap sifts in the old design, buffer appends + periodic nth_element
+// (heap sifts in the old design, buffer appends + periodic rank-select
 // compaction in the compaction design) stays in the measurement. These
 // are the headline ingest numbers tracked across PRs at k in {256, 4096}.
 
@@ -146,6 +147,51 @@ void BM_PrioritySamplerAddBatchStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kIngestStreamLen);
 }
 BENCHMARK(BM_PrioritySamplerAddBatchStream)->Arg(256)->Arg(4096);
+
+// --- One compaction -----------------------------------------------------
+//
+// Canonicalizes a saturated store that buffers k + delta entries below
+// its bound: one rank-select compaction down to k. The buffer holds at
+// most 2k - 1 entries (the 2k-th accept compacts by itself), so
+// delta = k - 1 is a full buffer and delta = k / 8 a canonicalizing read
+// soon after a compaction. 64 stores with distinct columns rotate, so
+// branch history cannot learn the columns (with 8, a comparison select
+// at k = 256 read 1.5-2x faster than on fresh data); refilling the store
+// from them is not timed.
+void BM_StoreCompact(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const size_t delta = static_cast<size_t>(state.range(1));
+  std::vector<SampleStore<uint64_t>> inputs;
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    Xoshiro256 rng(41 + seed);
+    SampleStore<uint64_t> store(k);
+    uint64_t id = 0;
+    for (; id < 4 * k; ++id) store.Offer(rng.NextDoubleOpenZero(), id);
+    store.Canonicalize();
+    const double bound = store.AcceptBound();
+    while (store.BufferedSize() < k + delta) {
+      store.Offer(bound * rng.NextDoubleOpenZero(), id++);
+    }
+    inputs.push_back(std::move(store));
+  }
+  SampleStore<uint64_t> store(k);
+  size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store = inputs[next++ % inputs.size()];
+    state.ResumeTiming();
+    store.Canonicalize();
+    benchmark::DoNotOptimize(store.AcceptBound());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(k + delta));
+}
+BENCHMARK(BM_StoreCompact)
+    ->Args({256, 32})
+    ->Args({256, 255})
+    ->Args({4096, 512})
+    ->Args({4096, 4095})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TopKSamplerAdd(benchmark::State& state) {
   TopKSampler sampler(10, 4);

@@ -17,12 +17,14 @@
 //   * Accepted candidates (priority < the current acceptance bound) are
 //     APPENDED to a 2k overflow buffer -- no heap, no sifting, amortized
 //     O(1) per accepted item.
-//   * When the buffer fills, it is compacted: std::nth_element on a
-//     scratch copy of the priority column finds the (k+1)-th smallest
-//     priority, that value becomes the new acceptance bound, and a single
-//     gather pass keeps exactly the k smallest entries (ties at the pivot
-//     resolved first-arrived-first-kept). Payloads are permuted in the
-//     same pass, so rejected items still never touch payload memory.
+//   * When the buffer fills, it is compacted: one bucketed rank select
+//     (core/select_rank.h) reads the priority column in place, copies
+//     out only the bucket holding rank k and finds the (k+1)-th smallest
+//     priority and the count below it. That value becomes the new
+//     acceptance bound, and a single gather pass keeps exactly the k
+//     smallest entries (ties at the pivot resolved first-arrived-first-
+//     kept). Payloads are permuted in the same pass, so rejected items
+//     still never touch payload memory.
 //
 // Between compactions the buffer may hold up to 2k entries; every
 // OBSERVABLE accessor (Threshold, size, priorities, Merge, serialization,
@@ -68,6 +70,7 @@
 #include <vector>
 
 #include "ats/core/random.h"
+#include "ats/core/select_rank.h"
 #include "ats/core/simd/simd_dispatch.h"
 #include "ats/core/threshold.h"
 #include "ats/util/check.h"
@@ -174,9 +177,10 @@ class SampleStore {
   }
 
   /// Offers one item. Returns true iff the item is ACCEPTED: its priority
-  /// is below the current acceptance bound and it enters the candidate
-  /// buffer. Amortized O(1): an accept is an append; every 2k-th accept
-  /// pays one O(k) nth_element compaction. Thread-safety: mutating call
+  /// is below the current acceptance bound (a NaN priority never is, as
+  /// in the batched pre-filter) and it enters the candidate buffer.
+  /// Amortized O(1): an accept is an append; every 2k-th accept pays one
+  /// O(k) rank-select compaction. Thread-safety: mutating call
   /// -- never run concurrently with any other access to the same store
   /// (distinct stores are fully independent).
   //
@@ -192,7 +196,7 @@ class SampleStore {
   /// bump per accept -- they bump once per call so their block-scan inner
   /// loops inline the epoch-free Accept().
   bool Offer(double priority, Payload payload) {
-    if (priority >= threshold_) return false;
+    if (!(priority < threshold_)) return false;
     priority_.push_back(priority);
     payload_.push_back(std::move(payload));
     ++mutation_epoch_;
@@ -498,7 +502,7 @@ class SampleStore {
   /// The epoch-free accept core shared by Offer and every batched/merge
   /// ingest loop: bound test, two column appends, compaction at 2k.
   bool Accept(double priority, Payload payload) {
-    if (priority >= threshold_) return false;
+    if (!(priority < threshold_)) return false;
     priority_.push_back(priority);
     payload_.push_back(std::move(payload));
     if (priority_.size() >= capacity_) CompactToK();
@@ -535,13 +539,28 @@ class SampleStore {
   template <typename Keep>
   void FilterColumns(Keep&& keep) const {
     size_t w = 0;
-    for (size_t i = 0; i < priority_.size(); ++i) {
-      if (keep(priority_[i])) {
-        if (w != i) {
-          priority_[w] = priority_[i];
-          payload_[w] = std::move(payload_[i]);
+    if constexpr (std::is_trivially_copyable_v<Payload>) {
+      // Branch-free: every entry is written and the write index advances
+      // past the kept ones only. A compaction keeps about every other
+      // entry in arrival order, so a branch on `keep` would mispredict
+      // on about every other entry.
+      double* const priority = priority_.data();
+      Payload* const payload = payload_.data();
+      for (size_t i = 0; i < priority_.size(); ++i) {
+        const bool kept = keep(priority[i]);
+        priority[w] = priority[i];
+        payload[w] = payload[i];
+        w += kept;
+      }
+    } else {
+      for (size_t i = 0; i < priority_.size(); ++i) {
+        if (keep(priority_[i])) {
+          if (w != i) {
+            priority_[w] = priority_[i];
+            payload_[w] = std::move(payload_[i]);
+          }
+          ++w;
         }
-        ++w;
       }
     }
     priority_.resize(w);
@@ -565,22 +584,19 @@ class SampleStore {
   void CompactToK() const {
     const size_t n = priority_.size();
     if (n <= k_) return;
-    scratch_.assign(priority_.begin(), priority_.end());
-    const auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(k_);
-    std::nth_element(scratch_.begin(), nth, scratch_.end());
-    const double pivot = *nth;  // the (k+1)-th smallest buffered priority
+    // One rank select reading the column in place (select_rank.h), on
+    // the column's measured range: decay log keys are negative, so the
+    // low end is not 0.
+    if (scratch_.size() < n) scratch_.resize(n);
+    const auto [pivot, below] =
+        internal::SelectRank(priority_, k_, scratch_.data());
     threshold_ = std::min(threshold_, pivot);
     // Gather the k smallest in arrival order: everything strictly below
     // the pivot plus the first ties AT the pivot filling up to k.
-    size_t below = 0;
-    for (const double p : priority_) below += p < pivot ? 1 : 0;
     FilterColumns([pivot, ties_needed = k_ - below](double p) mutable {
-      if (p < pivot) return true;
-      if (p == pivot && ties_needed > 0) {
-        --ties_needed;
-        return true;
-      }
-      return false;
+      const bool tie = p == pivot && ties_needed != 0;
+      ties_needed -= tie;
+      return (p < pivot) | tie;
     });
   }
 
@@ -597,8 +613,9 @@ class SampleStore {
   /// Parallel candidate columns; size <= capacity_, <= k when canonical.
   mutable std::vector<double> priority_;
   mutable std::vector<Payload> payload_;
-  /// Compaction scratch for the nth_element pivot scan (reused across
-  /// compactions to avoid per-compaction allocation).
+  /// Where the rank select gathers its bucket; sized to the largest
+  /// buffer compacted so far and reused, so a compaction allocates
+  /// nothing.
   mutable std::vector<double> scratch_;
   /// Observable-mutation counter (see mutation_epoch()). Deliberately NOT
   /// mutable: canonicalization under const accessors must not bump it, or

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ats/core/sample_store.h"
+#include "ats/core/select_rank.h"
 #include "ats/core/simd/simd_dispatch.h"
 #include "ats/util/check.h"
 
@@ -300,10 +301,8 @@ double SlidingWindowSampler::GlThreshold(double now) {
   priorities.assign(priority_.begin(), priority_.end());
   for (const StoredItem& it : expired) priorities.push_back(it.priority);
   if (priorities.size() < k_) return 1.0;
-  std::nth_element(priorities.begin(),
-                   priorities.begin() + static_cast<std::ptrdiff_t>(k_ - 1),
-                   priorities.end());
-  return priorities[k_ - 1];
+  return internal::SelectRank(priorities, k_ - 1, 0.0, 1.0, priorities.data())
+      .value;
 }
 
 double SlidingWindowSampler::CurrentMinThreshold() const {
@@ -659,7 +658,10 @@ class SlidingWindowSampler::MergeEngine {
     double t_final = bound;
     size_t ties = 0;
     if (n > k) {
-      const auto [pivot, below] = SelectRank(priorities_.data(), n, k, bound);
+      // Every candidate is in [0, bound), so the range costs no pass,
+      // and the scratch column is selected in place.
+      const auto [pivot, below] = internal::SelectRank(
+          std::span(priorities_).first(n), k, 0.0, bound, priorities_.data());
       limit = pivot;  // below the bound: it is a candidate's priority
       t_final = pivot;
       ties = k - below;
@@ -689,37 +691,6 @@ class SlidingWindowSampler::MergeEngine {
     cur_.swap(cand_);
     cur_size_ = kept;
     own_begin_ = 0;
-  }
-
-  // The (k+1)-th smallest of v[0, n) -- more than k values, all in
-  // [0, bound) -- and how many values are below it. A comparison
-  // selection mispredicts on about every compare; instead one pass
-  // counts the values per bucket of a monotone map onto [0, bound), and
-  // only the bucket holding rank k, a few values, is selected exactly.
-  static std::pair<double, size_t> SelectRank(double* v, size_t n, size_t k,
-                                              double bound) {
-    constexpr uint32_t kBuckets = 64;
-    const double scale = kBuckets / bound;
-    const auto bucket = [scale](double p) {
-      const double x = p * scale;
-      return x < kBuckets - 1 ? static_cast<uint32_t>(x) : kBuckets - 1;
-    };
-    size_t count[kBuckets] = {};
-    for (size_t i = 0; i < n; ++i) ++count[bucket(v[i])];
-    size_t before = 0;
-    uint32_t b = 0;
-    while (before + count[b] <= k) before += count[b++];
-    size_t m = 0;
-    for (size_t i = 0; i < n; ++i) {
-      v[m] = v[i];
-      m += bucket(v[i]) == b;
-    }
-    double* const nth = v + (k - before);
-    std::nth_element(v, nth, v + m);
-    const double pivot = *nth;
-    const auto below_in_bucket = static_cast<size_t>(
-        std::count_if(v, nth, [pivot](double p) { return p < pivot; }));
-    return {pivot, before + below_in_bucket};
   }
 
   // Writes the columns and the merged expired set.

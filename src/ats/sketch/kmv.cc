@@ -35,7 +35,7 @@ bool KmvSketch::OfferPriority(double priority, uint64_t key) {
   // Test against the O(1) chunked acceptance bound, not the canonical
   // Threshold(): the latter would force a buffer compaction per call,
   // defeating the store's amortized-O(1) ingest.
-  if (priority >= store_.AcceptBound()) return false;
+  if (!(priority < store_.AcceptBound())) return false;
   if (!seen_.insert(std::bit_cast<uint64_t>(priority)).second) {
     return true;  // duplicate key: already accepted (it is below theta)
   }

@@ -2,11 +2,14 @@
 // engine (compaction-buffer design). Covers batched-vs-scalar offer
 // equivalence (the OfferBatch pre-filter and the fused hashed pipeline
 // must be pure optimizations), the chunked-acceptance contract,
-// threshold primitives, aliasing-safe merges, and a randomized
-// differential sweep against a naive sorted-vector oracle.
+// threshold primitives, aliasing-safe merges, NaN rejection, and
+// randomized differential sweeps (unit priorities and negative log keys)
+// against a naive sorted-vector oracle.
 #include "ats/core/sample_store.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -275,22 +278,18 @@ void ExpectStoreMatchesOracle(const SampleStore<uint64_t>& store,
   }
 }
 
-TEST(SampleStore, DifferentialVsSortedVectorOracle) {
-  // Mixed Offer / OfferBatch / Merge / LowerThreshold sequences with
-  // heavy duplicate-priority pressure, swept over seeds and k down to 1.
+// Mixed Offer / OfferBatch / Merge / LowerThreshold sequences swept over
+// seeds and k down to 1. `draw(rng)` makes one priority; a fresh copy of
+// it runs each (k, seed) sweep.
+template <typename Draw>
+void RunDifferentialVsOracle(const Draw& draw) {
   for (size_t k : {1u, 2u, 7u, 33u}) {
     for (uint64_t seed : {1u, 2u, 3u, 4u}) {
       Xoshiro256 rng(seed * 977 + k);
       SampleStore<uint64_t> store(k), twin(k), side(k), side_twin(k);
       OracleStore oracle(k), side_oracle(k);
       std::vector<double> by_id;
-
-      // Half continuous draws, half from a tiny grid so that duplicate
-      // priorities (including ties at the threshold) are common.
-      auto gen_priority = [&rng] {
-        if (rng.NextBelow(2) == 0) return rng.NextDoubleOpenZero();
-        return 0.03 * static_cast<double>(1 + rng.NextBelow(32));
-      };
+      auto gen_priority = [&rng, d = draw]() mutable { return d(rng); };
 
       for (int op = 0; op < 300; ++op) {
         switch (rng.NextBelow(10)) {
@@ -369,6 +368,56 @@ TEST(SampleStore, DifferentialVsSortedVectorOracle) {
       ExpectStoreMatchesOracle(store, twin, oracle, by_id);
     }
   }
+}
+
+TEST(SampleStore, DifferentialVsSortedVectorOracle) {
+  // Half continuous draws, half from a tiny grid so that duplicate
+  // priorities (including ties at the threshold) are common.
+  RunDifferentialVsOracle([](Xoshiro256& rng) {
+    if (rng.NextBelow(2) == 0) return rng.NextDoubleOpenZero();
+    return 0.03 * static_cast<double>(1 + rng.NextBelow(32));
+  });
+}
+
+TEST(SampleStore, DifferentialVsSortedVectorOracleNegativeLogKeys) {
+  // Forward-decay log keys log(u / w) - t (time_decay.h): negative and
+  // drifting down with the clock, so the compaction's value range has
+  // no fixed low end. Half come from a grid that drifts with the clock
+  // too, for ties at the threshold.
+  RunDifferentialVsOracle([clock = 0.0](Xoshiro256& rng) mutable {
+    clock += 0.003;
+    if (rng.NextBelow(2) == 0) {
+      const double weight = 0.5 + 4 * rng.NextDouble();
+      return std::log(rng.NextDoubleOpenZero() / weight) - clock;
+    }
+    return -0.25 * static_cast<double>(1 + rng.NextBelow(32)) -
+           std::floor(clock);
+  });
+}
+
+TEST(SampleStore, NanPrioritiesAreRejectedOnEveryPath) {
+  // A NaN priority is never below the bound: the scalar Offer, the
+  // batched block pre-filter and the batch tail agree on it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto priorities = RandomPriorities(65, 12);
+  priorities[5] = nan;   // inside the first 64-entry block
+  priorities[64] = nan;  // the tail
+  const auto ids = Ids(priorities.size());
+  for (size_t k : {8u, 100u}) {
+    SampleStore<uint64_t> scalar(k), batched(k);
+    size_t scalar_accepted = 0;
+    for (size_t i = 0; i < priorities.size(); ++i) {
+      scalar_accepted += scalar.Offer(priorities[i], ids[i]) ? 1 : 0;
+    }
+    EXPECT_EQ(batched.OfferBatch(priorities, ids), scalar_accepted);
+    EXPECT_EQ(Snapshot(batched), Snapshot(scalar));
+    EXPECT_DOUBLE_EQ(batched.Threshold(), scalar.Threshold());
+    EXPECT_FALSE(scalar.Offer(nan, 99));
+    for (const double p : scalar.priorities()) EXPECT_FALSE(std::isnan(p));
+  }
+  SampleStore<uint64_t> empty(4);
+  EXPECT_FALSE(empty.Offer(nan, 1));
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 TEST(SampleStore, ColumnsStayInLockstep) {
